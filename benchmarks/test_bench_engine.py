@@ -39,8 +39,7 @@ from repro.algorithms.waiting import Waiting
 from repro.algorithms.waiting_greedy import WaitingGreedy, optimal_tau
 from repro.core.vector_execution import EngineFallbackWarning
 from repro.sim.batch import sweep_adversary_batched
-from repro.sim.parallel import sweep_random_adversary as parallel_sweep
-from repro.sim.runner import sweep_random_adversary
+from repro.sim.runner import run_sweep_trial
 
 from bench_utils import record_bench_trajectory
 
@@ -79,25 +78,30 @@ KNOWLEDGE_FACTORIES = {
 }
 
 
-def _timed_sweep(engine: str, factories=FACTORIES) -> "tuple":
-    """Run the benchmark sweep on one engine, best wall clock of N rounds.
+def _per_trial(factory, n: int, engine: str, **kwargs) -> list:
+    """The trials of one ``n``, one fresh ``engine`` executor per trial."""
+    return [
+        run_sweep_trial(
+            factory, n, trial, master_seed=7, experiment="bench_engine",
+            engine=engine, **kwargs,
+        )
+        for trial in range(BENCH_TRIALS)
+    ]
 
-    The results are identical across rounds (fully seeded); only the timing
-    varies, and taking the minimum keeps the speedup gate robust against
-    one-off scheduling noise.
+
+def _timed_sweep(engine: str, factories=FACTORIES) -> "tuple":
+    """Run the benchmark sweep per trial on one engine, best of N rounds.
+
+    Every trial gets its own executor (the per-trial baseline the recorded
+    speedups are measured against).  The results are identical across
+    rounds (fully seeded); only the timing varies, and taking the minimum
+    keeps the speedup gate robust against one-off scheduling noise.
     """
     best = None
     for _ in range(TIMING_ROUNDS):
         started = time.perf_counter()
         results = {
-            name: sweep_random_adversary(
-                factory,
-                ns=[BENCH_N],
-                trials=BENCH_TRIALS,
-                master_seed=7,
-                experiment="bench_engine",
-                engine=engine,
-            )
+            name: _per_trial(factory, BENCH_N, engine)
             for name, factory in factories.items()
         }
         elapsed = time.perf_counter() - started
@@ -118,7 +122,7 @@ def _timed_vectorized_sweep(factories=VECTOR_FACTORIES) -> "tuple":
                 master_seed=7,
                 experiment="bench_engine",
                 engine="vectorized",
-            )
+            ).points[0].trials
             for name, factory in factories.items()
         }
         elapsed = time.perf_counter() - started
@@ -128,10 +132,7 @@ def _timed_vectorized_sweep(factories=VECTOR_FACTORIES) -> "tuple":
 
 def _assert_sweeps_identical(candidate, expected, factories):
     for name in factories:
-        for candidate_point, expected_point in zip(
-            candidate[name].points, expected[name].points
-        ):
-            assert candidate_point.trials == expected_point.trials, name
+        assert candidate[name] == expected[name], name
 
 
 def test_fast_engine_speedup_and_equality(benchmark):
@@ -310,18 +311,11 @@ def test_knowledge_kernel_speedup_and_equality(benchmark):
 
 
 def test_parallel_sweep_matches_serial(benchmark):
-    """workers > 1 reproduces the serial sweep bit for bit."""
+    """One n split over 4 workers reproduces the per-trial sweep bit for bit."""
     factory = FACTORIES["gathering"]
-    serial = sweep_random_adversary(
-        factory,
-        ns=[BENCH_N],
-        trials=BENCH_TRIALS,
-        master_seed=7,
-        experiment="bench_engine",
-        engine="fast",
-    )
+    serial = _per_trial(factory, BENCH_N, "fast")
     parallel = benchmark.pedantic(
-        lambda: parallel_sweep(
+        lambda: sweep_adversary_batched(
             factory,
             ns=[BENCH_N],
             trials=BENCH_TRIALS,
@@ -334,38 +328,30 @@ def test_parallel_sweep_matches_serial(benchmark):
         iterations=1,
         warmup_rounds=0,
     )
-    assert parallel.points[0].trials == serial.points[0].trials
+    assert parallel.points[0].trials == serial
     benchmark.extra_info["workers"] = 4
     benchmark.extra_info["identical_to_serial"] = True
 
 
 def test_parallel_vectorized_cells_match_serial(benchmark):
-    """workers x vectorized cells reproduces the serial sweep bit for bit."""
+    """workers x vectorized cells reproduces the per-trial sweep bit for bit."""
     factory = VECTOR_FACTORIES["waiting"]
-    serial = sweep_random_adversary(
-        factory,
-        ns=[60, 90, BENCH_N],
-        trials=BENCH_TRIALS,
-        master_seed=7,
-        experiment="bench_engine",
-        engine="reference",
-    )
+    ns = [60, 90, BENCH_N]
+    serial = [_per_trial(factory, n, "reference") for n in ns]
     parallel = benchmark.pedantic(
-        lambda: parallel_sweep(
+        lambda: sweep_adversary_batched(
             factory,
-            ns=[60, 90, BENCH_N],
+            ns=ns,
             trials=BENCH_TRIALS,
             master_seed=7,
             experiment="bench_engine",
             engine="vectorized",
             workers=3,
-            batched=True,
         ),
         rounds=1,
         iterations=1,
         warmup_rounds=0,
     )
-    for serial_point, parallel_point in zip(serial.points, parallel.points):
-        assert parallel_point.trials == serial_point.trials
+    assert [point.trials for point in parallel.points] == serial
     benchmark.extra_info["workers"] = 3
     benchmark.extra_info["identical_to_serial"] = True

@@ -1,8 +1,9 @@
 """Differential benchmark: batched mobility sweeps vs. the reference engine.
 
 Runs the same mobility-adversary sweep (``community`` and ``waypoint``
-families, n >= 100) through the reference per-trial path and the batched
-fast-engine path (one ``FastExecutor.run_many`` invocation per sweep cell),
+families, n >= 100) per trial on the reference engine (one
+:func:`~repro.sim.runner.run_sweep_trial` per trial) and as sweep cells on
+the fast engine (one ``FastExecutor.run_many`` invocation per cell),
 asserts the results are identical trial for trial, and that the batched
 path is measurably faster.  Timings are appended to the
 ``BENCH_engine.json`` trajectory next to the uniform-adversary engine
@@ -13,7 +14,7 @@ import time
 
 from repro.algorithms.waiting import Waiting
 from repro.sim.batch import sweep_adversary_batched
-from repro.sim.runner import sweep_random_adversary
+from repro.sim.runner import run_sweep_trial
 
 from bench_utils import record_bench_trajectory
 
@@ -44,15 +45,18 @@ def test_batched_mobility_sweep_speedup_and_equality(benchmark):
     reference_seconds = 0.0
     for family in FAMILIES:
         result, seconds = _timed(
-            lambda family=family: sweep_random_adversary(
-                lambda n: Waiting(),
-                ns=[BENCH_N],
-                trials=BENCH_TRIALS,
-                master_seed=7,
-                experiment="bench_mobility",
-                engine="reference",
-                adversary=family,
-            )
+            lambda family=family: [
+                run_sweep_trial(
+                    lambda n: Waiting(),
+                    BENCH_N,
+                    trial,
+                    master_seed=7,
+                    experiment="bench_mobility",
+                    engine="reference",
+                    adversary=family,
+                )
+                for trial in range(BENCH_TRIALS)
+            ]
         )
         reference[family] = result
         reference_seconds += seconds
@@ -75,10 +79,7 @@ def test_batched_mobility_sweep_speedup_and_equality(benchmark):
         _timed, args=(run_batched,), rounds=1, iterations=1, warmup_rounds=0
     )
     for family in FAMILIES:
-        for ref_point, fast_point in zip(
-            reference[family].points, batched[family].points
-        ):
-            assert fast_point.trials == ref_point.trials, family
+        assert batched[family].points[0].trials == reference[family], family
 
     speedup = reference_seconds / batched_seconds
     benchmark.extra_info["n"] = BENCH_N

@@ -110,10 +110,9 @@ from .sim import (
     ResultTable,
     run_random_trial,
     sweep_adversary_batched,
-    sweep_random_adversary,
 )
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 from .campaign import (  # noqa: E402  (needs __version__ for store manifests)
     CampaignReport,
@@ -189,7 +188,6 @@ __all__ = [
     "run_campaign",
     "run_random_trial",
     "sweep_adversary_batched",
-    "sweep_random_adversary",
     "theorem4_delaying_sequence",
     "uniform_random_sequence",
     "validate_schedule",

@@ -85,8 +85,8 @@ class CampaignCell:
     """One sweep cell of a campaign: all trials of one grid point.
 
     The cell is the unit of execution *and* of checkpointing: the runner
-    executes a whole cell through one batched engine invocation and the
-    store persists it as one shard.
+    executes a whole cell through one engine invocation and the store
+    persists it as one shard.
     """
 
     adversary: str
@@ -116,7 +116,8 @@ class CampaignSpec:
         experiment: seed-derivation label (changing it changes every seed).
         engine: default execution engine (overridable at run time — results
             are engine-invariant, wall-clock is not).
-        block_size: committed-window override for the batched engines.
+        block_size: committed-window override for the fast/vectorized
+            engines.
         adversary_params: per-family parameter overrides, e.g.
             ``{"zipf": {"exponent": 1.5}}``.
         ratio: when True every trial also captures the offline-optimum
@@ -135,7 +136,7 @@ class CampaignSpec:
     trials: int = 12
     master_seed: int = 0
     experiment: str = "campaign"
-    engine: str = "fast"
+    engine: str = "vectorized"
     block_size: Optional[int] = None
     adversary_params: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     ratio: bool = False

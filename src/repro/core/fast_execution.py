@@ -254,7 +254,7 @@ class FastExecutor:
         per-instance precomputation (dense index map, canonical ranks); the
         algorithm and knowledge may vary per trial (``None`` selects the
         executor's own).  Results are identical to calling :meth:`run` once
-        per trial with fresh executors — the batched sweep runner in
+        per trial with fresh executors — the sweep cell runner in
         :mod:`repro.sim.batch` differentially tests exactly that.
         """
         batch = list(trials)

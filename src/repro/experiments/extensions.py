@@ -298,8 +298,9 @@ def run_vectorized_engine_check(
     """E23 — the trial-vectorized engine is metric-identical to reference.
 
     Runs the paper's three main algorithms (Waiting, Gathering, Waiting
-    Greedy) under each adversary family through the serial reference sweep
-    and through one batched ``engine`` invocation per cell, asserts the
+    Greedy) under each adversary family through a reference-engine sweep
+    (one reference executor per trial) and through one ``engine``
+    invocation per cell, asserts the
     :class:`~repro.sim.metrics.TrialMetrics` are equal trial for trial,
     and reports the measured wall-clock ratio.  The verdict is *equality
     only* — speedups are hardware-dependent and tracked by the benchmark
@@ -308,7 +309,6 @@ def run_vectorized_engine_check(
     from ..algorithms.waiting_greedy import optimal_tau
     from ..obs import now as _obs_now
     from ..sim.batch import sweep_adversary_batched
-    from ..sim.runner import sweep_random_adversary
 
     factories: Dict[str, object] = {
         "waiting": lambda size: Waiting(),
@@ -331,7 +331,7 @@ def run_vectorized_engine_check(
     for adversary in adversaries:
         for name, factory in factories.items():
             started = _obs_now()
-            reference = sweep_random_adversary(
+            reference = sweep_adversary_batched(
                 factory, ns=[n], trials=trials, master_seed=master_seed,
                 experiment="vector_check", engine="reference",
                 adversary=adversary,

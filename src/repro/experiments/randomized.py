@@ -9,8 +9,8 @@ for the asymptotic (Θ/O/Ω, w.h.p.) claims.
 The trial-based experiments (E7–E11, E13, E14) accept ``engine``
 ("reference" or "fast", see :mod:`repro.core.fast_execution`); the
 sweep-based ones (E9–E11) additionally accept ``workers`` (process fan-out,
-see :mod:`repro.sim.parallel`).  Both knobs change only wall-clock time,
-never the measured numbers.
+see :func:`repro.sim.batch.sweep_adversary_batched`).  Both knobs change
+only wall-clock time, never the measured numbers.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from ..core.execution import Executor
 from ..graph.generators import uniform_random_sequence
 from ..offline.broadcast import broadcast_completion_time
 from ..offline.convergecast import opt as offline_opt
-from ..sim.parallel import sweep_random_adversary
+from ..sim.batch import sweep_adversary_batched
 from ..sim.results import ExperimentReport, ResultTable
 from ..sim.runner import resolve_engine, run_random_trial
 from ..sim.seeding import derive_seed
@@ -220,7 +220,7 @@ def run_corollary1(
     workers: int = 1,
 ) -> ExperimentReport:
     """E9 — Corollary 1: DODA(future) also terminates in Θ(n log n)."""
-    sweep = sweep_random_adversary(
+    sweep = sweep_adversary_batched(
         lambda n: FutureBroadcast(),
         ns,
         trials,
@@ -261,7 +261,7 @@ def run_theorem9_waiting(
     workers: int = 1,
 ) -> ExperimentReport:
     """E10 — Theorem 9 (Waiting): O(n² log n) expected, matching the exact formula."""
-    sweep = sweep_random_adversary(
+    sweep = sweep_adversary_batched(
         lambda n: Waiting(),
         ns,
         trials,
@@ -310,7 +310,7 @@ def run_theorem9_gathering(
     workers: int = 1,
 ) -> ExperimentReport:
     """E11 — Theorem 9 / Corollary 2: Gathering is O(n²), optimal without knowledge."""
-    sweep = sweep_random_adversary(
+    sweep = sweep_adversary_batched(
         lambda n: Gathering(),
         ns,
         trials,

@@ -2,25 +2,21 @@
 
 Role: the measurement layer between the engines and the experiments —
 derive seeds, assemble adversaries + knowledge oracles for a trial, run
-``ns × trials`` sweeps (serially, over worker processes, or as whole
-batched cells), and collect :class:`~repro.sim.metrics.TrialMetrics`
-into result tables.
+``ns × trials`` sweeps as lists of cells (:func:`sweep_adversary_batched`,
+in-process or over the one process pool of :func:`run_sweep_cells`, with
+each ``n``'s trials split into one contiguous range per worker),
+and collect :class:`~repro.sim.metrics.TrialMetrics` into result tables.
 
 Invariant: every trial's seed derives from ``(master_seed, experiment,
 algorithm, n, trial)`` via :func:`~repro.sim.seeding.derive_seed`, so
-all execution strategies — serial, ``workers=N``, ``batched=True``, any
-engine — reproduce each other bit for bit, and everything measured above
-this layer is reproducible from ``(master_seed, experiment)`` alone.
+every ``workers`` value and every engine reproduce each other bit for
+bit, and everything measured above this layer is reproducible from
+``(master_seed, experiment)`` alone.
 """
 
 from .metrics import TrialMetrics, durations, mean_duration, termination_rate
-
-# The canonical sweep entry point is the parallel-capable one; it delegates
-# to the serial implementation in .runner for workers <= 1, so there is a
-# single public API surface.  The batched variant runs whole sweep cells in
-# one engine invocation.
 from .batch import run_sweep_cell, sweep_adversary_batched
-from .parallel import run_sweep_cells, sweep_random_adversary
+from .parallel import run_sweep_cells
 from .results import ExperimentReport, ResultTable
 from .runner import (
     ENGINES,
@@ -61,7 +57,6 @@ __all__ = [
     "run_sweep_cells",
     "run_sweep_trial",
     "sweep_adversary_batched",
-    "sweep_random_adversary",
     "termination_rate",
     "trial_seeds",
     "validate_sweep_parameters",

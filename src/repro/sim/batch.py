@@ -1,35 +1,39 @@
-"""Whole-cell batched sweep execution.
+"""Whole-cell sweep execution: the one sweep path of the simulator.
 
-The per-trial runner (:func:`repro.sim.runner.run_sweep_trial`) assembles a
-fresh executor for every ``(n, trial)`` grid cell entry.  This module runs a
-whole sweep cell — all trials of one algorithm at one ``n`` — through **one
-engine invocation**: a single batch-capable executor
+A sweep is a list of cells.  A cell is all trials (or a contiguous range
+of trial indices) of one algorithm at one ``n``, run through **one engine
+invocation**: a single batch-capable executor
 (:class:`~repro.core.fast_execution.FastExecutor` or the trial-vectorized
 :class:`~repro.core.vector_execution.VectorizedExecutor`) is constructed
 per cell and its ``run_many`` executes every trial, sharing the dense
 node-index map, canonical-rank precomputation and — for the vectorized
-engine — the whole struct-of-arrays lockstep across trials.
+engine — the whole struct-of-arrays lockstep across trials.  With
+``engine="reference"`` the cell runs one reference executor per trial
+instead, which makes it the oracle side of the differential tests.
 
-Determinism contract: the batched sweep derives exactly the same per-trial
-seeds, horizons and adversaries as the serial and parallel runners, so
-:func:`sweep_adversary_batched` reproduces
-:func:`repro.sim.runner.sweep_random_adversary` metric for metric (the
-differential tests in ``tests/test_differential_adversaries.py`` assert
-this for every adversary family).  With ``engine="reference"`` the cell
-falls back to per-trial reference executors — useful as the oracle side of
-that differential.
+:func:`sweep_adversary_batched` is the only sweep function.  It turns
+``ns × trials`` into cells and runs them in-process (``workers=1``) or over
+the one process pool, :func:`repro.sim.parallel.run_sweep_cells`.  With
+more than one worker, each ``n``'s trials are split into one contiguous
+range per worker, so the pool can balance the costly large-``n`` cells.
+
+Determinism contract: every cell derives exactly the same per-trial seeds,
+horizons and adversaries as :func:`repro.sim.runner.run_sweep_trial`, so a
+sweep's metrics are identical trial for trial for every engine and every
+``workers`` value (``tests/test_sweep_determinism.py`` pins this against a
+reference-engine ``run_sweep_trial`` loop).
 
 The cell is also the campaign layer's unit of execution and checkpointing:
 :mod:`repro.campaign` decomposes a declarative spec into
-:func:`run_sweep_cell` invocations (heterogeneous cells fan out over
-workers via :func:`repro.sim.parallel.run_sweep_cells`) and persists each
-completed cell as one store shard.
+:func:`run_sweep_cell` invocations, fans them out through
+:func:`repro.sim.parallel.run_sweep_cells` and persists each completed
+cell as one store shard.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.algorithm import DODAAlgorithm
 from ..core.data import NodeId
@@ -37,6 +41,7 @@ from ..core.fast_execution import BatchTrial, FastExecutor
 from ..core.vector_execution import EngineFallback, EngineFallbackWarning
 from ..obs import current_collector
 from .metrics import TrialMetrics
+from .parallel import run_sweep_cells
 from .runner import (
     AlgorithmFactory,
     SweepPoint,
@@ -55,19 +60,21 @@ __all__ = ["run_sweep_cell", "sweep_adversary_batched"]
 def run_sweep_cell(
     algorithm_factory: AlgorithmFactory,
     n: int,
-    trials: int,
+    trials: Union[int, range],
     master_seed: int = 0,
     experiment: str = "sweep",
     horizon_fn: Optional[Callable[[DODAAlgorithm, int], int]] = None,
     sink: NodeId = 0,
-    engine: str = "fast",
+    engine: str = "vectorized",
     adversary: str = "uniform",
     adversary_params: Optional[Dict[str, Any]] = None,
     block_size: Optional[int] = None,
     capture_opt: bool = False,
 ) -> List[TrialMetrics]:
-    """Run all ``trials`` of one sweep cell in one engine invocation.
+    """Run the trials of one sweep cell in one engine invocation.
 
+    ``trials`` is a trial count (trials ``0..trials-1``) or a ``range`` of
+    trial indices, so a sweep can split one ``n`` over several workers.
     Seeds, horizons, adversaries and knowledge oracles are derived exactly
     as in :func:`repro.sim.runner.run_sweep_trial`, so the returned metrics
     are identical to the per-trial path.  ``engine="fast"`` routes the cell
@@ -91,7 +98,11 @@ def run_sweep_cell(
         ValueError: if ``n``/``trials`` are invalid or ``engine`` /
             ``adversary`` is unknown.
     """
-    validate_sweep_parameters([n], trials)
+    if isinstance(trials, range):
+        validate_sweep_parameters([n], len(trials))
+    else:
+        validate_sweep_parameters([n], trials)
+        trials = range(trials)
     executor_cls = resolve_engine(engine)
     resolve_adversary_family(adversary)
     nodes = list(range(n))
@@ -99,7 +110,8 @@ def run_sweep_cell(
         raise ValueError("sink must be one of the nodes 0..n-1")
     collector = current_collector()
     with collector.span(
-        "sweep.cell", engine=engine, adversary=adversary, n=n, trials=trials
+        "sweep.cell", engine=engine, adversary=adversary, n=n,
+        trials=len(trials),
     ) as cell_span:
         metrics = _run_cell(
             algorithm_factory, n, trials, master_seed, experiment,
@@ -119,7 +131,7 @@ def run_sweep_cell(
 def _run_cell(
     algorithm_factory: AlgorithmFactory,
     n: int,
-    trials: int,
+    trials: range,
     master_seed: int,
     experiment: str,
     horizon_fn: Optional[Callable[[DODAAlgorithm, int], int]],
@@ -161,7 +173,7 @@ def _run_cell(
         meta.append((algorithm.name, horizon, seed))
 
     if hasattr(executor_cls, "run_many"):
-        first = prepare(0)
+        first = prepare(trials[0])
         executor_kwargs: Dict[str, Any] = {
             "knowledge": first[1],
             "capture_opt": capture_opt,
@@ -171,9 +183,9 @@ def _run_cell(
         cell_executor = executor_cls(nodes, sink, first[0], **executor_kwargs)
 
         def batch_trials():
-            for trial in range(trials):
+            for position, trial in enumerate(trials):
                 algorithm, knowledge, source, horizon, seed = (
-                    first if trial == 0 else prepare(trial)
+                    first if position == 0 else prepare(trial)
                 )
                 record(algorithm, horizon, seed)
                 yield BatchTrial(
@@ -191,7 +203,7 @@ def _run_cell(
             reasons = sorted({record.reason for record in fallbacks})
             warnings.warn(
                 f"vectorized engine fell back to the fast engine for "
-                f"{len(fallbacks)} of {trials} trials of cell "
+                f"{len(fallbacks)} of {len(trials)} trials of cell "
                 f"(algorithm={meta[0][0]!r}, n={n}): {'; '.join(reasons)}",
                 EngineFallbackWarning,
                 stacklevel=2,
@@ -199,7 +211,7 @@ def _run_cell(
     else:
         fallbacks = ()
         results = []
-        for trial in range(trials):
+        for trial in trials:
             algorithm, knowledge, source, horizon, seed = prepare(trial)
             record(algorithm, horizon, seed)
             results.append(
@@ -222,12 +234,12 @@ def _run_cell(
             algorithm=name,
             horizon=horizon,
             extra=(
-                {"engine_fallback": reason_of[trial]}
-                if trial in reason_of
+                {"engine_fallback": reason_of[position]}
+                if position in reason_of
                 else None
             ),
         )
-        for trial, (result, (name, horizon, seed)) in enumerate(
+        for position, (result, (name, horizon, seed)) in enumerate(
             zip(results, meta)
         )
     ]
@@ -241,33 +253,43 @@ def sweep_adversary_batched(
     experiment: str = "sweep",
     horizon_fn: Optional[Callable[[DODAAlgorithm, int], int]] = None,
     sink: NodeId = 0,
-    engine: str = "fast",
+    engine: str = "vectorized",
     adversary: str = "uniform",
     adversary_params: Optional[Dict[str, Any]] = None,
     block_size: Optional[int] = None,
     capture_opt: bool = False,
+    workers: int = 1,
 ) -> SweepResult:
-    """Run an ``n`` sweep with one engine invocation per ``(algorithm, n)`` cell.
+    """Run ``trials`` independent trials per ``n`` as a list of sweep cells.
 
-    Produces the same :class:`~repro.sim.runner.SweepResult` as
-    :func:`repro.sim.runner.sweep_random_adversary` (serial) and
-    :func:`repro.sim.parallel.sweep_random_adversary` (multi-process), trial
-    for trial — only the execution strategy differs.
+    ``workers == 1`` runs each ``n`` as one :func:`run_sweep_cell` cell,
+    in-process.  Any other value splits each ``n``'s trials into
+    ``min(trials, workers)`` contiguous ranges, one cell each, and runs the
+    cells over the process pool of
+    :func:`repro.sim.parallel.run_sweep_cells` — so the trials of the
+    largest ``n`` spread over every worker.  The result is identical trial
+    for trial for every ``engine`` and ``workers`` value.
 
     Raises:
-        ValueError: if the sweep parameters, ``engine`` or ``adversary`` are
-            invalid.
+        ValueError: if ``ns`` is empty or holds an ``n < 2``, ``trials <
+            1``, ``workers < 1``, or ``engine`` / ``adversary`` is unknown.
     """
     validate_sweep_parameters(ns, trials)
     resolve_engine(engine)
     resolve_adversary_family(adversary)
-    sample_algorithm = algorithm_factory(int(ns[0]))
-    result = SweepResult(algorithm=sample_algorithm.name)
-    for n in ns:
-        metrics = run_sweep_cell(
-            algorithm_factory,
-            int(n),
-            trials,
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    parts = min(trials, workers)
+    if parts == 1:
+        chunks: List[Union[int, range]] = [trials]
+    else:
+        bounds = [trials * k // parts for k in range(parts + 1)]
+        chunks = [range(bounds[k], bounds[k + 1]) for k in range(parts)]
+    cells = [
+        dict(
+            algorithm_factory=algorithm_factory,
+            n=int(n),
+            trials=chunk,
             master_seed=master_seed,
             experiment=experiment,
             horizon_fn=horizon_fn,
@@ -278,7 +300,24 @@ def sweep_adversary_batched(
             block_size=block_size,
             capture_opt=capture_opt,
         )
+        for n in ns
+        for chunk in chunks
+    ]
+    # run_sweep_cells also runs workers == 1 in-process; calling the cells
+    # directly keeps serial sweeps out of the pool's spans, which perfbench
+    # reads as pool time (sim.pool_idle_frac).
+    if workers == 1:
+        cell_metrics = [run_sweep_cell(**kwargs) for kwargs in cells]
+    else:
+        cell_metrics = list(run_sweep_cells(cells, workers))
+    result = SweepResult(algorithm=algorithm_factory(int(ns[0])).name)
+    for position, n in enumerate(ns):
+        own = cell_metrics[position * parts : (position + 1) * parts]
         result.points.append(
-            SweepPoint(n=int(n), algorithm=result.algorithm, trials=metrics)
+            SweepPoint(
+                n=int(n),
+                algorithm=result.algorithm,
+                trials=[metrics for cell in own for metrics in cell],
+            )
         )
     return result

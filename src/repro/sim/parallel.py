@@ -1,42 +1,26 @@
-"""Multi-process sweep runner for the randomized-adversary experiments.
+"""The process pool of the sweep layer: sweep cells over worker processes.
 
-The sweep fan-out is embarrassingly parallel: every trial derives its own
-seed from ``(master_seed, experiment, algorithm, n, trial)`` via
-:func:`~repro.sim.seeding.derive_seed` and shares no RNG state with any
-other trial.  This module farms work over a ``multiprocessing`` pool while
-preserving that derivation, so a parallel sweep reproduces the serial
-:func:`repro.sim.runner.sweep_random_adversary` bit for bit — same
-:class:`~repro.sim.metrics.TrialMetrics`, same
-:class:`~repro.sim.results.ResultTable` — for any ``workers`` count.
-
-Two task granularities are supported:
-
-* **per-trial** (default): the ``ns x trials`` grid is distributed one
-  trial at a time — the natural unit for the per-trial engines;
-* **per-cell** (``batched=True``): each ``n`` of the sweep becomes one
-  task executed through :func:`repro.sim.batch.run_sweep_cell`, so every
-  worker runs whole cells through a batch-capable engine — *workers ×
-  vectorized cells* is the intended scale-out shape of the trial-vectorized
-  engine.
-
-For grids whose cells differ in more than ``n`` (different algorithms and
-adversary families per cell, i.e. a campaign), :func:`run_sweep_cells`
-maps arbitrary per-cell ``run_sweep_cell`` configurations over the same
-pool, yielding results cell by cell so callers can checkpoint as they go.
+:func:`run_sweep_cells` is the one place the simulator starts worker
+processes.  Every sweep (:func:`repro.sim.batch.sweep_adversary_batched`)
+and every campaign (:mod:`repro.campaign`) is a list of
+:func:`repro.sim.batch.run_sweep_cell` keyword-argument dicts, and this
+module maps such a list over a ``multiprocessing`` pool, yielding results
+cell by cell so callers can checkpoint as they go.  Each cell re-derives
+its trials' seeds from ``(master_seed, experiment, algorithm, n, trial)``
+via :func:`~repro.sim.seeding.derive_seed` and shares no RNG state with
+any other cell, so the results are identical for any ``workers`` count.
 
 Workers are started with the ``fork`` start method (the configuration,
 including lambda algorithm factories, is inherited by the child processes
-rather than pickled); on platforms without ``fork`` the sweep transparently
-falls back to the serial runner.
+rather than pickled); on platforms without ``fork`` the cells run
+serially.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..core.algorithm import DODAAlgorithm
-from ..core.data import NodeId
 from ..obs import (
     CollectorSnapshot,
     RecordingCollector,
@@ -45,107 +29,15 @@ from ..obs import (
 )
 from ..obs import now as _now
 from .metrics import TrialMetrics
-from .runner import (
-    AlgorithmFactory,
-    SweepPoint,
-    SweepResult,
-    resolve_adversary_family,
-    resolve_engine,
-    run_sweep_trial,
-    sweep_random_adversary as _serial_sweep,
-    validate_sweep_parameters,
-)
 
-#: Per-worker sweep configuration, inherited through ``fork`` (never
+#: The cells of the running pool, inherited through ``fork`` (never
 #: pickled, so lambda factories and closures work).
-_WORKER_CONFIG: dict = {}
+_WORKER_CELLS: List[dict] = []
 
 
-def _init_worker(config: dict) -> None:
-    """Install the sweep configuration in a freshly forked worker."""
-    _WORKER_CONFIG.clear()
-    _WORKER_CONFIG.update(config)
-
-
-def _with_worker_collector(fn: Callable[[], object]):
-    """Run ``fn`` under a fresh recording collector when tracing is on.
-
-    Forked workers inherit the parent's collector object, but recordings
-    made into it die with the child process — so when the inherited
-    collector is enabled, the worker records into a fresh
-    :class:`~repro.obs.RecordingCollector` and ships the picklable
-    snapshot back for the parent to merge.  Returns ``(result,
-    snapshot_or_None)``.
-    """
-    if not current_collector().enabled:
-        return fn(), None
-    worker_collector = RecordingCollector()
-    with use_collector(worker_collector):
-        result = fn()
-    return result, worker_collector.snapshot()
-
-
-def _merge_snapshots(
-    snapshots: Sequence[Optional[CollectorSnapshot]],
-) -> None:
-    """Fold worker trace snapshots into the parent's collector, if any."""
-    collector = current_collector()
-    if not collector.enabled:
-        return
-    merge = getattr(collector, "merge", None)
-    if merge is None:
-        return
-    for snapshot in snapshots:
-        if snapshot is not None:
-            merge(snapshot)
-
-
-def _run_task(
-    task: Tuple[int, int]
-) -> Tuple[TrialMetrics, Optional[CollectorSnapshot]]:
-    """Run one ``(n, trial)`` grid cell inside a worker process."""
-    n, trial = task
-    config = _WORKER_CONFIG
-    return _with_worker_collector(
-        lambda: run_sweep_trial(
-            config["factory"],
-            n,
-            trial,
-            master_seed=config["master_seed"],
-            experiment=config["experiment"],
-            horizon_fn=config["horizon_fn"],
-            sink=config["sink"],
-            engine=config["engine"],
-            adversary=config["adversary"],
-            adversary_params=config["adversary_params"],
-            capture_opt=config["capture_opt"],
-        )
-    )
-
-
-def _run_cell_task(
-    n: int,
-) -> Tuple[List[TrialMetrics], Optional[CollectorSnapshot]]:
-    """Run one whole sweep cell (all trials of one ``n``) inside a worker."""
-    from .batch import run_sweep_cell
-
-    config = _WORKER_CONFIG
-    return _with_worker_collector(
-        lambda: run_sweep_cell(
-            config["factory"],
-            n,
-            config["trials"],
-            master_seed=config["master_seed"],
-            experiment=config["experiment"],
-            horizon_fn=config["horizon_fn"],
-            sink=config["sink"],
-            engine=config["engine"],
-            adversary=config["adversary"],
-            adversary_params=config["adversary_params"],
-            block_size=config["block_size"],
-            capture_opt=config["capture_opt"],
-        )
-    )
+def _init_worker(cells: List[dict]) -> None:
+    """Install the cell list in a freshly forked worker."""
+    _WORKER_CELLS[:] = cells
 
 
 def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
@@ -156,36 +48,47 @@ def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
         return None
 
 
-def _run_hetero_cell_task(
+def _run_cell_in_worker(
     index: int,
 ) -> Tuple[List[TrialMetrics], float, Optional[CollectorSnapshot]]:
-    """Run one heterogeneous cell (by task index) inside a worker process.
+    """Run one cell (by task index) inside a worker process.
 
-    Returns ``(metrics, elapsed_seconds, trace_snapshot)``; the elapsed
+    Returns ``(metrics, elapsed_seconds, trace_snapshot)``.  The elapsed
     time is measured around the cell's own execution, so it stays accurate
-    when several cells run concurrently, and the snapshot carries the
-    worker's spans back to the parent collector (None when tracing is
-    off).
+    when several cells run concurrently.  Forked workers inherit the
+    parent's collector object, but recordings made into it die with the
+    child process — so when tracing is on, the worker records into a fresh
+    :class:`~repro.obs.RecordingCollector` and ships its picklable
+    snapshot back for the parent to merge (None when tracing is off).
     """
     from .batch import run_sweep_cell
 
-    kwargs = _WORKER_CONFIG["cells"][index]
+    kwargs = _WORKER_CELLS[index]
     start = _now()
-    (metrics, snapshot) = _with_worker_collector(
-        lambda: run_sweep_cell(**kwargs)
-    )
-    return metrics, _now() - start, snapshot
+    if not current_collector().enabled:
+        return run_sweep_cell(**kwargs), _now() - start, None
+    worker_collector = RecordingCollector()
+    with use_collector(worker_collector):
+        metrics = run_sweep_cell(**kwargs)
+    return metrics, _now() - start, worker_collector.snapshot()
+
+
+def _merge_snapshot(snapshot: Optional[CollectorSnapshot]) -> None:
+    """Fold a worker's trace snapshot into the parent's collector, if any."""
+    merge = getattr(current_collector(), "merge", None)
+    if snapshot is not None and merge is not None:
+        merge(snapshot)
 
 
 def run_sweep_cells(
     cell_kwargs: Sequence[dict], workers: int = 1, with_timing: bool = False
 ) -> "Iterator":
-    """Run *heterogeneous* sweep cells, optionally over a process pool.
+    """Run sweep cells, optionally over a process pool.
 
     ``cell_kwargs`` is a sequence of keyword-argument dicts for
-    :func:`repro.sim.batch.run_sweep_cell` — unlike the sweep entry points
-    above, each cell may name a different algorithm factory and adversary
-    family, which is exactly the shape of a campaign grid
+    :func:`repro.sim.batch.run_sweep_cell`.  Each cell may name a different
+    algorithm factory, adversary family, ``n`` or trial range, which
+    covers both a sweep's cells and a campaign grid
     (:mod:`repro.campaign`).  Results are yielded **in task order as each
     cell completes** (``imap`` under the hood), so a caller can checkpoint
     cell by cell; an interrupt mid-iteration loses only cells not yet
@@ -219,139 +122,14 @@ def _iter_sweep_cells(
             elapsed = _now() - start
             yield (metrics, elapsed) if with_timing else metrics
         return
-    config = {"cells": cell_kwargs}
     processes = min(workers, len(cell_kwargs))
     with context.Pool(
-        processes=processes, initializer=_init_worker, initargs=(config,)
+        processes=processes, initializer=_init_worker, initargs=(cell_kwargs,)
     ) as pool:
         for metrics, elapsed, snapshot in pool.imap(
-            _run_hetero_cell_task, range(len(cell_kwargs)), 1
+            _run_cell_in_worker, range(len(cell_kwargs)), 1
         ):
             # Merge before yielding so a caller that checkpoints cell by
             # cell sees the worker's spans as soon as the cell lands.
-            _merge_snapshots((snapshot,))
+            _merge_snapshot(snapshot)
             yield (metrics, elapsed) if with_timing else metrics
-
-
-def sweep_random_adversary(
-    algorithm_factory: AlgorithmFactory,
-    ns: Sequence[int],
-    trials: int,
-    master_seed: int = 0,
-    experiment: str = "sweep",
-    horizon_fn: Optional[Callable[[DODAAlgorithm, int], int]] = None,
-    sink: NodeId = 0,
-    engine: str = "reference",
-    workers: int = 1,
-    adversary: str = "uniform",
-    adversary_params: Optional[dict] = None,
-    batched: bool = False,
-    block_size: Optional[int] = None,
-    capture_opt: bool = False,
-) -> SweepResult:
-    """Run a committed-adversary sweep, optionally across worker processes.
-
-    Identical to :func:`repro.sim.runner.sweep_random_adversary` plus the
-    ``workers`` / ``batched`` parameters.  ``workers <= 1`` (or a platform
-    without the ``fork`` start method) runs serially; any other value
-    distributes work over a process pool.  ``batched=True`` switches the
-    task granularity from single trials to whole sweep cells executed
-    through :func:`repro.sim.batch.run_sweep_cell` (one batch-capable
-    engine invocation per ``n`` — the *workers × vectorized cells* shape),
-    serially when ``workers == 1``.  Results are deterministic and
-    independent of ``workers``/``batched`` for every adversary family
-    (each worker re-derives the trial's committed future from its seed
-    alone).
-
-    Raises:
-        ValueError: if ``ns`` is empty, ``trials < 1``, ``workers < 1``,
-            or ``engine`` / ``adversary`` is unknown.
-    """
-    validate_sweep_parameters(ns, trials)
-    resolve_engine(engine)
-    resolve_adversary_family(adversary)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    context = _fork_context()
-    if workers == 1 or context is None:
-        if batched:
-            from .batch import sweep_adversary_batched
-
-            return sweep_adversary_batched(
-                algorithm_factory,
-                ns,
-                trials,
-                master_seed=master_seed,
-                experiment=experiment,
-                horizon_fn=horizon_fn,
-                sink=sink,
-                engine=engine,
-                adversary=adversary,
-                adversary_params=adversary_params,
-                block_size=block_size,
-                capture_opt=capture_opt,
-            )
-        return _serial_sweep(
-            algorithm_factory,
-            ns,
-            trials,
-            master_seed=master_seed,
-            experiment=experiment,
-            horizon_fn=horizon_fn,
-            sink=sink,
-            engine=engine,
-            adversary=adversary,
-            adversary_params=adversary_params,
-            capture_opt=capture_opt,
-        )
-
-    sample_algorithm = algorithm_factory(int(ns[0]))
-    config = {
-        "factory": algorithm_factory,
-        "master_seed": master_seed,
-        "experiment": experiment,
-        "horizon_fn": horizon_fn,
-        "sink": sink,
-        "engine": engine,
-        "adversary": adversary,
-        "adversary_params": adversary_params,
-        "trials": trials,
-        "block_size": block_size,
-        "capture_opt": capture_opt,
-    }
-    result = SweepResult(algorithm=sample_algorithm.name)
-    if batched:
-        cell_tasks = [int(n) for n in ns]
-        processes = min(workers, len(cell_tasks))
-        with context.Pool(
-            processes=processes, initializer=_init_worker, initargs=(config,)
-        ) as pool:
-            outcomes = pool.map(_run_cell_task, cell_tasks, 1)
-        _merge_snapshots([snapshot for _, snapshot in outcomes])
-        cells: List[List[TrialMetrics]] = [metrics for metrics, _ in outcomes]
-        for n, cell in zip(ns, cells):
-            result.points.append(
-                SweepPoint(n=int(n), algorithm=result.algorithm, trials=cell)
-            )
-        return result
-
-    tasks = [(int(n), trial) for n in ns for trial in range(trials)]
-    processes = min(workers, len(tasks))
-    chunksize = max(1, len(tasks) // (processes * 4))
-    with context.Pool(
-        processes=processes, initializer=_init_worker, initargs=(config,)
-    ) as pool:
-        trial_outcomes = pool.map(_run_task, tasks, chunksize)
-    _merge_snapshots([snapshot for _, snapshot in trial_outcomes])
-    metrics: List[TrialMetrics] = [result for result, _ in trial_outcomes]
-
-    for position, n in enumerate(ns):
-        start = position * trials
-        result.points.append(
-            SweepPoint(
-                n=int(n),
-                algorithm=result.algorithm,
-                trials=metrics[start : start + trials],
-            )
-        )
-    return result

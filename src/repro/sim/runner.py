@@ -2,7 +2,9 @@
 
 The runner knows how to assemble, for any registered algorithm, the
 knowledge oracles it requires on top of the randomized adversary (Section 4
-of the paper), run one trial, and aggregate trials over an ``n`` sweep.
+of the paper), run one trial, and hold the per-``n`` results of a sweep
+(:class:`SweepResult`; the sweep itself runs as cells in
+:mod:`repro.sim.batch`).
 """
 
 from __future__ import annotations
@@ -355,74 +357,6 @@ class SweepResult:
         return table
 
 
-def sweep_random_adversary(
-    algorithm_factory: AlgorithmFactory,
-    ns: Sequence[int],
-    trials: int,
-    master_seed: int = 0,
-    experiment: str = "sweep",
-    horizon_fn: Optional[Callable[[DODAAlgorithm, int], int]] = None,
-    sink: NodeId = 0,
-    engine: str = "reference",
-    adversary: str = "uniform",
-    adversary_params: Optional[Dict[str, Any]] = None,
-    capture_opt: bool = False,
-) -> SweepResult:
-    """Run ``trials`` independent trials per ``n`` against a committed adversary.
-
-    Args:
-        algorithm_factory: callable mapping ``n`` to a fresh algorithm
-            instance (fresh instances avoid any state leak between trials).
-        ns: the values of ``n`` to sweep.
-        trials: number of independent trials per ``n``.
-        master_seed: master seed from which all trial seeds are derived.
-        experiment: experiment name mixed into seed derivation.
-        horizon_fn: optional override of :func:`default_horizon`.
-        sink: sink node identifier.
-        engine: execution engine, ``"reference"`` or ``"fast"``.
-        adversary: adversary family name (uniform, zipf, hub, waypoint,
-            community); the default is the paper's uniform randomized
-            adversary.
-        adversary_params: family-specific parameter overrides.
-
-    Raises:
-        ValueError: if ``ns`` is empty, ``trials < 1``, ``engine`` or
-            ``adversary`` is unknown.
-
-    For multi-process sweeps see
-    :func:`repro.sim.parallel.sweep_random_adversary`; for whole-cell
-    batched execution see :func:`repro.sim.batch.sweep_adversary_batched`.
-    Both reproduce this function's output bit for bit.
-    """
-    validate_sweep_parameters(ns, trials)
-    resolve_engine(engine)
-    resolve_adversary_family(adversary)
-    sample_algorithm = algorithm_factory(int(ns[0]))
-    result = SweepResult(algorithm=sample_algorithm.name)
-    for n in ns:
-        metrics: List[TrialMetrics] = []
-        for trial in range(trials):
-            metrics.append(
-                run_sweep_trial(
-                    algorithm_factory,
-                    int(n),
-                    trial,
-                    master_seed=master_seed,
-                    experiment=experiment,
-                    horizon_fn=horizon_fn,
-                    sink=sink,
-                    engine=engine,
-                    adversary=adversary,
-                    adversary_params=adversary_params,
-                    capture_opt=capture_opt,
-                )
-            )
-        result.points.append(
-            SweepPoint(n=int(n), algorithm=result.algorithm, trials=metrics)
-        )
-    return result
-
-
 def derive_sweep_trial(
     algorithm_factory: AlgorithmFactory,
     n: int,
@@ -433,10 +367,10 @@ def derive_sweep_trial(
 ) -> Tuple[DODAAlgorithm, int, int]:
     """Derive one sweep trial's ``(algorithm, seed, horizon)``.
 
-    This derivation is the determinism contract of every sweep runner: the
-    serial, parallel and batched paths all call it for every task, which is
-    what makes ``workers > 1`` and whole-cell batching reproduce the serial
-    sweep exactly.
+    This derivation is the determinism contract of the sweep layer: every
+    sweep cell (:func:`repro.sim.batch.run_sweep_cell`) and every single
+    trial (:func:`run_sweep_trial`) calls it, which is what makes every
+    engine and every ``workers`` value reproduce the same trials exactly.
     """
     algorithm = algorithm_factory(n)
     seed = derive_seed(master_seed, experiment, algorithm.name, n, trial)

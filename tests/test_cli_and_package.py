@@ -8,7 +8,7 @@ from repro.cli import build_parser, main
 
 class TestPackageSurface:
     def test_version(self):
-        assert repro.__version__ == "1.4.0"
+        assert repro.__version__ == "1.5.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -73,7 +73,8 @@ class TestSweepCLI:
         assert "| 8 |" in output and "| 10 |" in output
 
     def test_sweep_fast_engine_matches_reference(self, capsys):
-        assert main(["sweep", "gathering", "--ns", "9", "--trials", "3"]) == 0
+        assert main(["sweep", "gathering", "--ns", "9", "--trials", "3",
+                     "--engine", "reference"]) == 0
         reference = capsys.readouterr().out
         assert (
             main(["sweep", "gathering", "--ns", "9", "--trials", "3",
@@ -82,20 +83,12 @@ class TestSweepCLI:
         assert capsys.readouterr().out == reference
 
     def test_sweep_workers(self, capsys):
-        assert main(["sweep", "gathering", "--ns", "8", "--trials", "2"]) == 0
+        assert main(["sweep", "gathering", "--ns", "8", "--trials", "2",
+                     "--engine", "reference"]) == 0
         serial = capsys.readouterr().out
         assert (
             main(["sweep", "gathering", "--ns", "8", "--trials", "2",
                   "--engine", "fast", "--workers", "2"]) == 0
-        )
-        assert capsys.readouterr().out == serial
-
-    def test_sweep_batched(self, capsys):
-        assert main(["sweep", "gathering", "--ns", "8", "--trials", "2"]) == 0
-        serial = capsys.readouterr().out
-        assert (
-            main(["sweep", "gathering", "--ns", "8", "--trials", "2",
-                  "--engine", "fast", "--batched"]) == 0
         )
         assert capsys.readouterr().out == serial
 
@@ -129,6 +122,16 @@ class TestSweepCLI:
             main(["sweep", "gathering", "--ns", "8",
                   "--adversary", "rush_hour"])
 
+    @pytest.mark.parametrize("block_size", ("0", "-5"))
+    def test_sweep_rejects_non_positive_block_size(self, block_size, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "gathering", "--ns", "8", "--trials", "2",
+                  "--block-size", block_size])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--block-size must be >= 1, got {block_size}" in err
+        assert "Traceback" not in err
+
     def test_trial_engine_flag(self, capsys):
         assert main(["trial", "gathering", "--n", "10", "--seed", "2",
                      "--engine", "fast"]) == 0
@@ -153,7 +156,8 @@ class TestVectorizedEngineCLI:
         assert capsys.readouterr().out == reference
 
     def test_sweep_vectorized_matches_reference(self, capsys):
-        assert main(["sweep", "waiting", "--ns", "9,11", "--trials", "3"]) == 0
+        assert main(["sweep", "waiting", "--ns", "9,11", "--trials", "3",
+                     "--engine", "reference"]) == 0
         reference = capsys.readouterr().out
         assert (
             main(["sweep", "waiting", "--ns", "9,11", "--trials", "3",
@@ -161,31 +165,33 @@ class TestVectorizedEngineCLI:
         )
         assert capsys.readouterr().out == reference
 
-    def test_sweep_vectorized_batched(self, capsys):
-        assert main(["sweep", "gathering", "--ns", "8,10", "--trials", "3"]) == 0
+    def test_sweep_default_engine_matches_reference(self, capsys):
+        assert main(["sweep", "gathering", "--ns", "8,10", "--trials", "3",
+                     "--engine", "reference"]) == 0
         reference = capsys.readouterr().out
         assert (
-            main(["sweep", "gathering", "--ns", "8,10", "--trials", "3",
-                  "--engine", "vectorized", "--batched"]) == 0
+            main(["sweep", "gathering", "--ns", "8,10", "--trials", "3"]) == 0
         )
         assert capsys.readouterr().out == reference
 
-    def test_sweep_vectorized_batched_workers_compose(self, capsys):
-        assert main(["sweep", "gathering", "--ns", "8,10", "--trials", "2"]) == 0
+    @pytest.mark.parametrize("workers", ("2", "3"))
+    def test_sweep_vectorized_workers_compose(self, workers, capsys):
+        assert main(["sweep", "gathering", "--ns", "8,10", "--trials", "2",
+                     "--engine", "reference"]) == 0
         reference = capsys.readouterr().out
         assert (
             main(["sweep", "gathering", "--ns", "8,10", "--trials", "2",
-                  "--engine", "vectorized", "--batched", "--workers", "2"]) == 0
+                  "--engine", "vectorized", "--workers", workers]) == 0
         )
         assert capsys.readouterr().out == reference
 
     def test_sweep_vectorized_block_size(self, capsys):
-        assert main(["sweep", "waiting", "--ns", "9", "--trials", "2"]) == 0
+        assert main(["sweep", "waiting", "--ns", "9", "--trials", "2",
+                     "--engine", "reference"]) == 0
         reference = capsys.readouterr().out
         assert (
             main(["sweep", "waiting", "--ns", "9", "--trials", "2",
-                  "--engine", "vectorized", "--batched",
-                  "--block-size", "64"]) == 0
+                  "--engine", "vectorized", "--block-size", "64"]) == 0
         )
         assert capsys.readouterr().out == reference
 
@@ -198,13 +204,14 @@ class TestVectorizedEngineCLI:
 
         from repro.core.vector_execution import EngineFallbackWarning
 
-        assert main(["sweep", algorithm, "--ns", "8", "--trials", "2"]) == 0
+        assert main(["sweep", algorithm, "--ns", "8", "--trials", "2",
+                     "--engine", "reference"]) == 0
         reference = capsys.readouterr().out
         with warnings.catch_warnings():
             warnings.simplefilter("error", EngineFallbackWarning)
             assert (
                 main(["sweep", algorithm, "--ns", "8", "--trials", "2",
-                      "--engine", "vectorized", "--batched"]) == 0
+                      "--engine", "vectorized"]) == 0
             )
         assert capsys.readouterr().out == reference
 
@@ -231,13 +238,14 @@ class TestVectorizedEngineCLI:
         from repro.algorithms import kernels as kernels_module
         from repro.core.vector_execution import EngineFallbackWarning
 
-        assert main(["sweep", "gathering", "--ns", "8", "--trials", "2"]) == 0
+        assert main(["sweep", "gathering", "--ns", "8", "--trials", "2",
+                     "--engine", "reference"]) == 0
         reference = capsys.readouterr().out
         monkeypatch.delitem(kernels_module.KERNELS, "gathering")
         with pytest.warns(EngineFallbackWarning) as caught:
             assert (
                 main(["sweep", "gathering", "--ns", "8", "--trials", "2",
-                      "--engine", "vectorized", "--batched"]) == 0
+                      "--engine", "vectorized"]) == 0
             )
         fallback_out = capsys.readouterr().out
 
@@ -264,8 +272,7 @@ class TestVectorizedEngineCLI:
     def test_sweep_vectorized_mobility_adversary(self, capsys):
         assert (
             main(["sweep", "waiting", "--ns", "10", "--trials", "2",
-                  "--adversary", "community", "--engine", "vectorized",
-                  "--batched"]) == 0
+                  "--adversary", "community", "--engine", "vectorized"]) == 0
         )
         assert "waiting" in capsys.readouterr().out
 

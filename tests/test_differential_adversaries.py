@@ -4,8 +4,10 @@
 randomized adversary; this suite extends the differential to every other
 committed family — the non-uniform (Zipf/hub) adversary and the mobility
 adversaries (random waypoint, community, trace replay) — across all
-registered algorithms, multiple seeds and instance shapes, plus the batched
-and multi-process sweep paths with a non-uniform adversary selected.  Both
+registered algorithms, multiple seeds and instance shapes, plus the sweep
+cell with a non-uniform adversary selected (the sweep over every family,
+engine and ``workers`` value lives in ``tests/test_sweep_determinism.py``).
+Both
 optimised engines (``fast`` and trial-``vectorized``) are differential
 against the reference executor.
 """
@@ -26,8 +28,7 @@ from repro.core.execution import Executor
 from repro.core.fast_execution import FastExecutor
 from repro.graph.traces import BodyAreaNetworkTrace, VehicularGridTrace
 from repro.sim.batch import run_sweep_cell, sweep_adversary_batched
-from repro.sim.parallel import sweep_random_adversary as parallel_sweep
-from repro.sim.runner import execute_random_trial, sweep_random_adversary
+from repro.sim.runner import execute_random_trial, run_sweep_trial
 
 FAMILIES = ("zipf", "hub", "waypoint", "community")
 SEEDS = (0, 1, 2)
@@ -237,37 +238,7 @@ class TestTraceReplayDifferential:
 
 
 class TestSweepPathEquivalence:
-    """Serial, parallel and batched sweeps must agree for every family."""
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("engine", ("fast", "vectorized"))
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_batched_sweep_reproduces_serial(self, family, engine):
-        factory = lambda n: Gathering()
-        serial = sweep_random_adversary(
-            factory, ns=[8, 12], trials=4, master_seed=9,
-            engine="reference", adversary=family,
-        )
-        batched = sweep_adversary_batched(
-            factory, ns=[8, 12], trials=4, master_seed=9,
-            engine=engine, adversary=family,
-        )
-        assert batched.algorithm == serial.algorithm
-        assert batched.ns == serial.ns
-        for point, expected in zip(batched.points, serial.points):
-            assert point.trials == expected.trials
-
-    def test_parallel_sweep_with_mobility_adversary(self):
-        factory = lambda n: Waiting()
-        serial = sweep_random_adversary(
-            factory, ns=[10], trials=4, master_seed=3,
-            engine="fast", adversary="community",
-        )
-        parallel = parallel_sweep(
-            factory, ns=[10], trials=4, master_seed=3,
-            engine="fast", adversary="community", workers=2,
-        )
-        assert parallel.points[0].trials == serial.points[0].trials
+    """Sweep cells agree with per-trial reference runs for every family."""
 
     def test_run_sweep_cell_knowledge_algorithm(self):
         from repro.algorithms.waiting_greedy import WaitingGreedy
@@ -277,11 +248,13 @@ class TestSweepPathEquivalence:
             factory, 10, 3, master_seed=5, engine="fast",
             adversary="waypoint",
         )
-        serial = sweep_random_adversary(
-            factory, ns=[10], trials=3, master_seed=5,
-            engine="reference", adversary="waypoint",
-        )
-        assert cell == serial.points[0].trials
+        assert cell == [
+            run_sweep_trial(
+                factory, 10, trial, master_seed=5, engine="reference",
+                adversary="waypoint",
+            )
+            for trial in range(3)
+        ]
 
     def test_unknown_adversary_rejected(self):
         with pytest.raises(ValueError):

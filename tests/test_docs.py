@@ -122,10 +122,13 @@ class TestCLIHelp:
         with pytest.raises(SystemExit):
             main(["sweep", "--help"])
         help_text = capsys.readouterr().out
-        assert "--batched" in help_text
         assert "--block-size" in help_text
         assert "--workers" in help_text
-        assert "whole cells" in help_text  # composition rule wording
+        # composition rule wording: workers distribute cells and split
+        # each n's trials into one range per worker
+        assert "one contiguous range per worker" in " ".join(
+            help_text.split()
+        )
 
     def test_campaign_run_help_mentions_resume_and_engine(self, capsys):
         from repro.cli import main

@@ -5,8 +5,9 @@ oracle.  For every registered algorithm, several seeds, and every supported
 interaction-source shape (committed finite sequence, lazy randomized
 adversary, generic oblivious provider), :class:`~repro.core.fast_execution.
 FastExecutor` must produce an identical :class:`ExecutionResult` — including
-the transmission log, transmission for transmission.  The parallel sweep
-runner must likewise reproduce the serial sweep bit for bit.
+the transmission log, transmission for transmission.  (Sweep-level
+determinism across engines and worker counts lives in
+``tests/test_sweep_determinism.py``.)
 """
 
 import math
@@ -24,12 +25,10 @@ from repro.core.exceptions import ModelViolationError
 from repro.core.execution import Executor
 from repro.core.fast_execution import FastExecutor
 from repro.core.interaction import InteractionSequence
-from repro.sim.parallel import sweep_random_adversary as parallel_sweep
 from repro.sim.runner import (
     execute_random_trial,
     resolve_engine,
     run_random_trial,
-    sweep_random_adversary,
 )
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -173,57 +172,6 @@ class TestFastEngineModelEnforcement:
             FastExecutor([0, 1], 9, Gathering()).run(sequence)
         with pytest.raises(ModelViolationError):
             FastExecutor([0], 0, Gathering()).run(sequence)
-
-
-class TestParallelSweepDeterminism:
-    def test_parallel_reproduces_serial_sweep(self):
-        factory = lambda n: Gathering()
-        serial = sweep_random_adversary(
-            factory, ns=[8, 12], trials=4, master_seed=11, engine="reference"
-        )
-        for engine in ("reference", "fast"):
-            for workers in (1, 3):
-                sweep = parallel_sweep(
-                    factory,
-                    ns=[8, 12],
-                    trials=4,
-                    master_seed=11,
-                    engine=engine,
-                    workers=workers,
-                )
-                assert sweep.algorithm == serial.algorithm
-                assert sweep.ns == serial.ns
-                for point, expected in zip(sweep.points, serial.points):
-                    assert point.trials == expected.trials
-
-    def test_parallel_sweep_with_knowledge_algorithm(self):
-        factory = lambda n: WaitingGreedy(tau=optimal_tau(n))
-        serial = sweep_random_adversary(
-            factory, ns=[10], trials=3, master_seed=2, engine="fast"
-        )
-        parallel = parallel_sweep(
-            factory, ns=[10], trials=3, master_seed=2, engine="fast", workers=2
-        )
-        assert parallel.points[0].trials == serial.points[0].trials
-
-    def test_empty_ns_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_random_adversary(lambda n: Gathering(), ns=[], trials=3)
-        with pytest.raises(ValueError):
-            parallel_sweep(lambda n: Gathering(), ns=[], trials=3, workers=2)
-
-    def test_invalid_trials_and_workers_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_random_adversary(lambda n: Gathering(), ns=[8], trials=0)
-        with pytest.raises(ValueError):
-            parallel_sweep(lambda n: Gathering(), ns=[8], trials=3, workers=0)
-
-    def test_too_small_n_rejected_before_running(self):
-        # n < 2 used to crash mid-sweep inside the adversary constructor.
-        with pytest.raises(ValueError):
-            sweep_random_adversary(lambda n: Gathering(), ns=[1, 8], trials=2)
-        with pytest.raises(ValueError):
-            parallel_sweep(lambda n: Gathering(), ns=[0], trials=2, workers=2)
 
 
 class TestAdversaryBatching:

@@ -3,8 +3,8 @@
 Extends the differential suites to the ratio vertical:
 
 * per-trial ``opt_cost`` / ``competitive_ratio`` are byte-identical across
-  the reference/fast/vectorized engines and the serial / ``--workers`` /
-  ``--batched`` execution paths (acceptance criterion of the subsystem);
+  the reference/fast/vectorized engines (the sweep-level check over every
+  engine and ``workers`` value lives in ``tests/test_sweep_determinism.py``);
 * ratio campaigns persist the capture into shards, round-trip it through
   :func:`~repro.campaign.store.record_to_metrics`, keep pre-ratio spec
   hashes unchanged, and render ratio columns in reports;
@@ -33,8 +33,7 @@ from repro.campaign.store import (
 )
 from repro.cli import main
 from repro.sim.batch import run_sweep_cell, sweep_adversary_batched
-from repro.sim.parallel import sweep_random_adversary as parallel_sweep
-from repro.sim.runner import run_random_trial, sweep_random_adversary
+from repro.sim.runner import run_random_trial
 
 
 ENGINES = ("reference", "fast", "vectorized")
@@ -57,26 +56,6 @@ class TestEngineAndPathIdentity:
             assert first.opt_cost is not None
             for other in per_engine[1:]:
                 assert other == first  # includes opt_cost and ratio
-
-    def test_sweep_paths_identical(self):
-        kwargs = dict(
-            ns=[8, 12], trials=4, master_seed=11, experiment="ratio-paths",
-            adversary="uniform", capture_opt=True,
-        )
-        factory = lambda n: Gathering()
-        serial = sweep_random_adversary(factory, engine="reference", **kwargs)
-        variants = [
-            sweep_random_adversary(factory, engine="fast", **kwargs),
-            parallel_sweep(factory, engine="fast", workers=2, **kwargs),
-            sweep_adversary_batched(factory, engine="fast", **kwargs),
-            sweep_adversary_batched(factory, engine="vectorized", **kwargs),
-            parallel_sweep(
-                factory, engine="vectorized", workers=2, batched=True, **kwargs
-            ),
-        ]
-        for variant in variants:
-            for serial_point, variant_point in zip(serial.points, variant.points):
-                assert variant_point.trials == serial_point.trials
 
     def test_vectorized_fallback_algorithm_captures_too(self):
         # spanning_tree has no decision kernel: the vectorized engine falls
@@ -105,9 +84,9 @@ class TestEngineAndPathIdentity:
 
     def test_ratio_columns_only_when_captured(self):
         factory = lambda n: Gathering()
-        plain = sweep_random_adversary(factory, ns=[8], trials=2)
+        plain = sweep_adversary_batched(factory, ns=[8], trials=2)
         assert "mean_ratio" not in plain.to_table().columns
-        captured = sweep_random_adversary(
+        captured = sweep_adversary_batched(
             factory, ns=[8], trials=2, capture_opt=True
         )
         table = captured.to_table()
@@ -226,7 +205,7 @@ class TestCLIRatio:
         code = main(
             [
                 "sweep", "gathering", "--ns", "8", "--trials", "2",
-                "--engine", "vectorized", "--batched", "--ratio",
+                "--engine", "vectorized", "--ratio",
             ]
         )
         assert code == 0

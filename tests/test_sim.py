@@ -10,11 +10,8 @@ from repro.core.execution import run_algorithm
 from repro.core.interaction import InteractionSequence
 from repro.sim.metrics import TrialMetrics, durations, mean_duration, termination_rate
 from repro.sim.results import ExperimentReport, ResultTable
-from repro.sim.runner import (
-    default_horizon,
-    run_random_trial,
-    sweep_random_adversary,
-)
+from repro.sim.batch import sweep_adversary_batched
+from repro.sim.runner import default_horizon, run_random_trial
 from repro.sim.seeding import derive_seed, trial_seeds
 
 
@@ -144,7 +141,7 @@ class TestRunner:
         assert metrics.terminated
 
     def test_sweep_produces_points_in_order(self):
-        sweep = sweep_random_adversary(
+        sweep = sweep_adversary_batched(
             lambda n: Gathering(), ns=[8, 12], trials=3, master_seed=1
         )
         assert sweep.ns == [8, 12]
@@ -152,7 +149,7 @@ class TestRunner:
         assert sweep.mean_durations[0] < sweep.mean_durations[1]
 
     def test_sweep_to_table(self):
-        sweep = sweep_random_adversary(
+        sweep = sweep_adversary_batched(
             lambda n: Gathering(), ns=[8], trials=2, master_seed=1
         )
         table = sweep.to_table()

@@ -31,14 +31,13 @@ from repro.core.fast_execution import FastExecutor
 from repro.core.interaction import InteractionSequence
 from repro.core.vector_execution import EngineFallbackWarning, VectorizedExecutor
 from repro.graph.traces import VehicularGridTrace
-from repro.sim.batch import run_sweep_cell, sweep_adversary_batched
-from repro.sim.parallel import sweep_random_adversary as parallel_sweep
+from repro.sim.batch import run_sweep_cell
 from repro.sim.runner import (
     build_knowledge_for_random_run,
     build_trial_adversary,
     default_horizon,
     execute_random_trial,
-    sweep_random_adversary,
+    run_sweep_trial,
 )
 
 FAMILIES = ("uniform", "zipf", "hub", "waypoint", "community")
@@ -530,35 +529,13 @@ class TestSweepPaths:
             factory, 12, 4, master_seed=11, engine="vectorized",
             adversary=family,
         )
-        serial = sweep_random_adversary(
-            factory, ns=[12], trials=4, master_seed=11,
-            engine="reference", adversary=family,
-        )
-        assert cell == serial.points[0].trials
-
-    def test_batched_sweep_vectorized(self):
-        factory = lambda n: WaitingGreedy(tau=optimal_tau(n))
-        batched = sweep_adversary_batched(
-            factory, ns=[8, 12], trials=3, master_seed=5, engine="vectorized",
-        )
-        serial = sweep_random_adversary(
-            factory, ns=[8, 12], trials=3, master_seed=5, engine="reference",
-        )
-        for batched_point, serial_point in zip(batched.points, serial.points):
-            assert batched_point.trials == serial_point.trials
-
-    def test_parallel_batched_cells_match_serial(self):
-        factory = lambda n: Gathering()
-        serial = sweep_random_adversary(
-            factory, ns=[8, 10, 12], trials=3, master_seed=2, engine="fast",
-        )
-        parallel = parallel_sweep(
-            factory, ns=[8, 10, 12], trials=3, master_seed=2,
-            engine="vectorized", workers=2, batched=True,
-        )
-        assert parallel.ns == serial.ns
-        for parallel_point, serial_point in zip(parallel.points, serial.points):
-            assert parallel_point.trials == serial_point.trials
+        assert cell == [
+            run_sweep_trial(
+                factory, 12, trial, master_seed=11, engine="reference",
+                adversary=family,
+            )
+            for trial in range(4)
+        ]
 
     def test_block_size_threads_through_cell(self):
         factory = lambda n: Gathering()
