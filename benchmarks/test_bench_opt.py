@@ -15,7 +15,10 @@ uniform-adversary futures — and times
   matrices (``committed_index_matrix``) and evaluate
   :func:`repro.ratio.kernels.opt_end_matrix` over the whole ``(B, L)``
   cell in one call; this is exactly what the vectorized engine's
-  ``capture_opt`` does.
+  ``capture_opt`` does.  The kernel sweeps each row forward and stops
+  once the sink holds every origin, so it reads about ``opt``
+  interactions per row, while the backward oracle reads the whole
+  window.
 
 Both timings start from the same committed numpy buffers and end at the
 same per-trial ``opt(0)`` values, so the ratio is the real cost ratio of
@@ -25,8 +28,8 @@ appended to ``benchmarks/BENCH_engine.json`` on the normalized record
 schema (engine ``ratio_kernel`` vs baseline ``offline_python``) and the CI
 perf gate (``perf_gate.py --require-record``) requires the record and its
 floor.  The hard floor asserted here (:data:`MIN_OPT_KERNEL_SPEEDUP`,
-10x — the acceptance criterion) is deliberately below locally measured
-figures so a loaded CI runner cannot flake the suite.
+20x) is deliberately below locally measured figures (about 48x on a
+2-cpu x86_64 host) so a loaded CI runner cannot flake the suite.
 """
 
 import time
@@ -48,7 +51,7 @@ BENCH_TRIALS = 256
 BENCH_WINDOW = 4096
 #: CI-safe hard floor (the acceptance criterion); local measurements are
 #: recorded in the trajectory and ratcheted by perf_gate.py.
-MIN_OPT_KERNEL_SPEEDUP = 10.0
+MIN_OPT_KERNEL_SPEEDUP = 20.0
 #: Kernel timing keeps the best of this many rounds (the Python baseline
 #: is timed once — at hundreds of ms per round it dwarfs scheduler noise).
 TIMING_ROUNDS = 3
@@ -106,7 +109,7 @@ def measure_opt_kernel():
 
 
 def test_opt_kernel_speedup_and_equality(benchmark):
-    """The (B, L) opt kernel beats per-sequence Python by >= 10x."""
+    """The (B, L) opt kernel beats per-sequence Python by >= 20x."""
     python_seconds, kernel_seconds, ends = benchmark.pedantic(
         measure_opt_kernel, rounds=1, iterations=1, warmup_rounds=0
     )

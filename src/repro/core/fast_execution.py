@@ -357,8 +357,9 @@ class FastExecutor:
         Reads the consumed window back as dense index blocks (committed
         adversaries hand them out without drawing; sequences and recorded
         providers are converted) and evaluates the paper's ``opt(0)``
-        through the single-row case of the trial-vectorized kernel —
-        differential-equal to the reference engine's pure-Python oracle.
+        through the single-row case of the trial-vectorized kernel, whose
+        forward sweep stops at ``opt`` — differential-equal to the
+        reference engine's backward pure-Python oracle.
         """
         import numpy as np
 

@@ -604,14 +604,8 @@ class VectorizedExecutor:
                 engine="vectorized",
                 trials=batch_size,
                 blocks=draw_blocks,
+                draw_s=draw_seconds,
                 candidates_walked=candidates_walked,
-            )
-            collector.add_span(
-                "engine.committed_draws",
-                lockstep_start,
-                lockstep_start + draw_seconds,
-                engine="vectorized",
-                blocks=draw_blocks,
             )
             collector.counter("engine.candidates_walked", candidates_walked)
 
@@ -649,8 +643,8 @@ class VectorizedExecutor:
 
         Re-reads the exact committed windows the lockstep consumed (all
         already committed — zero extra adversary draws), applies each row's
-        node translation, and evaluates ``opt(0)`` for the whole cell as
-        ``(B, L)`` numpy array ops.
+        node translation, and evaluates ``opt(0)`` for the whole ``(B, L)``
+        cell; the kernel's sweep stops at each row's ``opt``.
         """
         from ..ratio.kernels import opt_end_matrix
         from ..ratio.semantics import opt_cost_from_end

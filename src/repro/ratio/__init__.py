@@ -8,10 +8,12 @@ that baseline cheap enough to attach to every Monte-Carlo trial:
 
 * :mod:`repro.ratio.kernels` — trial-vectorized offline-optimum kernels:
   foremost arrival times, ``opt(t)`` and successive-convergecast end times
-  for a whole ``(B, L)`` cell of committed futures as numpy array ops,
-  consuming the same dense index matrices the trial-vectorized engine does
+  for a whole ``(B, L)`` cell of committed futures, consuming the same
+  dense index matrices the trial-vectorized engine does
   (:meth:`~repro.adversaries.committed.CommittedBlockAdversary.
-  committed_index_matrix`);
+  committed_index_matrix`).  Each row is a forward sweep over origin
+  bitmasks that stops as soon as the sink holds every origin, i.e. at
+  ``opt``; the oracle stays a backward sweep, its independent reference;
 * :mod:`repro.ratio.semantics` — the scalar vocabulary: ``opt_cost``
   (offline-optimal duration in interactions), ``competitive_ratio`` and
   the documented sentinel values (:data:`~repro.ratio.semantics.

@@ -1,26 +1,33 @@
 """Trial-vectorized offline-optimum kernels.
 
 The pure-Python oracle (:mod:`repro.offline.convergecast`) computes foremost
-arrival times with a single backward sweep over one sequence.  The sweep is
-inherently sequential in *time* — arrival times at later interactions feed
-relaxations at earlier ones — but perfectly parallel across *trials*: every
-row of a sweep cell is swept independently.  These kernels exploit exactly
-that: one Python-level loop over the shared time axis, numpy array ops of
-width ``B`` per step, consuming the same dense ``(B, L)`` committed index
+arrival times with one backward sweep over a sequence's whole window.  These
+kernels answer the same question with a forward sweep that stops early, one
+row of a ``(B, L)`` cell at a time, over the same dense committed index
 matrices the trial-vectorized engine consumes
 (:meth:`~repro.adversaries.committed.CommittedBlockAdversary.
-committed_index_matrix`).
+committed_index_matrix`):
 
-All kernels are differential-equal to the oracle sequence for sequence
-(``tests/test_ratio_kernels.py``) and all returned times are float64 —
-exact for any realistic horizon (``< 2**53``) — so downstream metrics are
-byte-identical no matter which implementation produced them.
+* every node holds the set of data origins that could have reached it so
+  far, as a Python-int bitmask (so any ``n`` works);
+* an interaction ``(u, v)`` at time ``t`` ORs the two sets into both nodes;
+* each origin that newly enters the sink's set arrives at time ``t``;
+* the row stops as soon as the sink holds all ``n`` origins — exactly at
+  ``opt`` — so a row reads about ``opt`` interactions, not its window.
+
+The oracle stays backward, so the differential tests
+(``tests/test_ratio_kernels.py``) pin two independent algorithms to each
+other sequence for sequence.  All returned times are float64 — exact for
+any realistic horizon (``< 2**53``) — so downstream metrics are
+byte-identical no matter which implementation produced them.  Each
+:func:`foremost_arrival_matrix` call emits one ``ratio.interactions_swept``
+counter: the row-interactions the sweep actually read.
 
 Row conventions (shared with ``committed_index_matrix``):
 
 * ``I[b, t]`` / ``J[b, t]`` are dense node indices of row ``b``'s committed
   interaction at time ``t``; entries at ``t >= lengths[b]`` are padding and
-  are never read into a result;
+  are never read;
 * a row's window is ``[starts[b], lengths[b])``; nodes unreachable within
   it get :data:`~repro.ratio.semantics.UNREACHABLE`.
 """
@@ -31,6 +38,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from ..obs import current_collector
 from .semantics import UNREACHABLE
 
 __all__ = [
@@ -42,13 +50,9 @@ __all__ = [
 
 StartSpec = Union[int, np.ndarray]
 
-#: Time-axis chunk of the backward sweep: bounds the precomputed per-chunk
-#: index structures to ~chunk × 2B × 18 bytes regardless of window length.
-_TIME_CHUNK = 32768
-
 
 def _as_matrix(values: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(values, dtype=np.int64)
+    matrix = np.ascontiguousarray(values, dtype=np.int64)
     if matrix.ndim != 2:
         raise ValueError(f"expected a (B, L) matrix, got shape {matrix.shape}")
     return matrix
@@ -96,77 +100,42 @@ def foremost_arrival_matrix(
         raise ValueError(
             f"I/J shape mismatch: {i_nodes.shape} vs {j_nodes.shape}"
         )
-    lengths = np.asarray(lengths, dtype=np.int64)
-    starts = _starts_vector(starts, batch)
-    if batch == 0 or n == 0:
-        return np.full((batch, n), UNREACHABLE, dtype=np.float64)
-    # Arrival lives as one flat (B*n + 1) vector so every per-step access
-    # is a single fancy gather/scatter on precomputed flat indices.  The
-    # extra trailing slot holds -inf and serves as a write sink: node-side
-    # indices of positions that must never relax (the sink's own arrival,
-    # padding beyond a row's length, times before a row's start) are
-    # redirected there during precomputation, which keeps the hot loop down
-    # to a handful of numpy ops per time step — the per-step op count, not
-    # the array width, dominates at realistic batch sizes.
-    flat = np.full(batch * n + 1, UNREACHABLE, dtype=np.float64)
-    offsets = np.arange(batch, dtype=np.int64) * n
-    flat[offsets + sink] = starts - 1
-    dummy = batch * n
-    flat[dummy] = -np.inf
-    last = min(width, int(lengths.max()))
-    first = max(int(starts.min()), 0)
-    if last <= first:
-        arrival = flat[:dummy].reshape(batch, n)
-        return arrival.copy()
-    # The time axis is processed in chunks (newest first) so the
-    # precomputed per-chunk index structures stay memory-bounded even for
-    # horizon-length windows; within a chunk the sweep runs newest-to-
-    # oldest exactly like the oracle.
-    for chunk_end in range(last, first, -_TIME_CHUNK):
-        chunk_start = max(first, chunk_end - _TIME_CHUNK)
-        span = slice(chunk_start, chunk_end)
-        it = np.ascontiguousarray(i_nodes.T[span])  # (T, B) time-major
-        jt = np.ascontiguousarray(j_nodes.T[span])
-        steps = chunk_end - chunk_start
-        times = np.arange(chunk_start, chunk_end, dtype=np.int64)
-        # Node-side flat indices (where a relaxation would write) and
-        # peer-side flat indices (whose arrival the journey continues
-        # through), both (T, 2B): the u-direction and v-direction of every
-        # interaction are processed as one fused vector per step.
-        node_index = np.empty((steps, 2 * batch), dtype=np.int64)
-        node_index[:, :batch] = it + offsets
-        node_index[:, batch:] = jt + offsets
-        peer_index = np.empty((steps, 2 * batch), dtype=np.int64)
-        peer_index[:, :batch] = jt + offsets
-        peer_index[:, batch:] = it + offsets
-        peer_is_sink = np.empty((steps, 2 * batch), dtype=bool)
-        peer_is_sink[:, :batch] = jt == sink
-        peer_is_sink[:, batch:] = it == sink
-        blocked = np.empty((steps, 2 * batch), dtype=bool)
-        blocked[:, :batch] = it == sink
-        blocked[:, batch:] = jt == sink
-        dead = (times[:, None] >= lengths[None, :]) | (
-            times[:, None] < starts[None, :]
+    stops = np.minimum(np.asarray(lengths, dtype=np.int64), width).tolist()
+    starts = _starts_vector(starts, batch).tolist()
+    arrival = np.full((batch, n), UNREACHABLE, dtype=np.float64)
+    if n == 0:
+        return arrival
+    full = (1 << n) - 1
+    swept = 0
+    for b in range(batch):
+        arrival[b, sink] = starts[b] - 1
+        first = max(starts[b], 0)
+        if first >= stops[b]:
+            continue
+        row = arrival[b]
+        held = [1 << node for node in range(n)]
+        reached = held[sink]
+        # memoryview iteration yields Python ints lazily, so a row that
+        # completes early never converts the rest of its window.
+        pairs = zip(
+            memoryview(i_nodes[b, first:stops[b]]),
+            memoryview(j_nodes[b, first:stops[b]]),
         )
-        blocked[:, :batch] |= dead
-        blocked[:, batch:] |= dead
-        node_index[blocked] = dummy
-        for step in range(steps - 1, -1, -1):
-            time = times[step]
-            peer_arrival = flat[peer_index[step]]
-            # Candidate arrival through the peer: the journey completes
-            # now when the peer is the sink, otherwise it continues through
-            # the peer's strictly-later foremost arrival.
-            candidate = np.where(
-                peer_arrival > time, peer_arrival, UNREACHABLE
-            )
-            candidate[peer_is_sink[step]] = time
-            node_slot = node_index[step]
-            improves = candidate < flat[node_slot]
-            if improves.any():
-                flat[node_slot[improves]] = candidate[improves]
-    arrival = flat[:dummy].reshape(batch, n)
-    return arrival.copy()
+        for time, (u, v) in enumerate(pairs, first):
+            merged = held[u] | held[v]
+            held[u] = held[v] = merged
+            if u == sink or v == sink:
+                fresh = merged & ~reached
+                reached = merged
+                while fresh:
+                    lowest = fresh & -fresh
+                    row[lowest.bit_length() - 1] = time
+                    fresh ^= lowest
+                if reached == full:
+                    break
+        swept += time + 1 - first
+    current_collector().counter("ratio.interactions_swept", swept)
+    return arrival
 
 
 def opt_end_matrix(

@@ -16,6 +16,7 @@ Two families of contracts (see ``docs/observability.md``):
 from __future__ import annotations
 
 import json
+import math
 import pickle
 
 import pytest
@@ -266,9 +267,10 @@ class TestEngineInstrumentation:
 
     def test_vectorized_emits_lockstep_and_counter(self):
         _, collector = traced_cell("vectorized")
-        names = [span.name for span in collector.spans]
-        assert "engine.lockstep" in names
-        assert "engine.committed_draws" in names
+        lockstep = [s for s in collector.spans if s.name == "engine.lockstep"]
+        assert lockstep
+        for span in lockstep:
+            assert 0 < dict(span.args)["draw_s"] <= span.duration
         (counter,) = [
             c for c in collector.counters if c.name == "engine.candidates_walked"
         ]
@@ -311,15 +313,30 @@ class TestEngineInstrumentation:
         cell = next(span for span in collector.spans if span.name == "sweep.cell")
         assert dict(cell.args)["fallbacks"] == 4
 
+    @pytest.mark.parametrize("capture_opt", [False, True])
     @pytest.mark.parametrize("engine", ["fast", "vectorized"])
-    def test_tracing_does_not_change_metrics(self, engine):
+    def test_tracing_does_not_change_metrics(self, engine, capture_opt):
         from repro.algorithms.gathering import Gathering
 
         untraced = run_sweep_cell(
-            lambda n: Gathering(), n=12, trials=4, master_seed=5, engine=engine
+            lambda n: Gathering(), n=12, trials=4, master_seed=5,
+            engine=engine, capture_opt=capture_opt,
         )
-        traced, _ = traced_cell(engine)
+        traced, collector = traced_cell(engine, capture_opt=capture_opt)
         assert untraced == traced
+        swept = [
+            c.value for c in collector.counters
+            if c.name == "ratio.interactions_swept"
+        ]
+        if not capture_opt:
+            assert swept == []
+            return
+        # One counter per opt-kernel call (per trial on the fast engine,
+        # per lockstep batch on the vectorized one).  The sweep stops at
+        # each row's opt, so it reads exactly opt_cost interactions.
+        assert len(swept) == (4 if engine == "fast" else 1)
+        assert all(math.isfinite(m.opt_cost) for m in traced)
+        assert sum(swept) == sum(m.opt_cost for m in traced)
 
 
 def campaign_spec(**overrides):
@@ -428,6 +445,11 @@ class TestSearchIsolation:
         assert plain.best.schedule.digest_key() == traced.best.schedule.digest_key()
         names = [span.name for span in collector.spans]
         assert "search.run" in names and "search.generation" in names
+        swept = [
+            c.value for c in collector.counters
+            if c.name == "ratio.interactions_swept"
+        ]
+        assert swept and all(value > 0 for value in swept)
 
 
 class TestObsCLI:

@@ -18,7 +18,7 @@ import random
 
 import numpy as np
 import pytest
-from strategies import random_sequence
+from strategies import random_dense_pairs, random_sequence
 
 from repro.adversaries.committed import CommittedBlockAdversary
 from repro.adversaries.factory import make_adversary
@@ -46,53 +46,120 @@ from repro.ratio.semantics import (
 
 # random_sequence is shared suite-wide — see tests/strategies.py.
 
+#: Node counts on and across the 64-bit word boundary.
+WIDE_NS = (64, 65, 130)
 
-def single_row(sequence: InteractionSequence, n: int):
+
+def random_case(rng: random.Random):
+    """One differential case: ``(n, sink, sequence)``.
+
+    ``n`` is small (convergecasts complete often) or on a word boundary,
+    the sink is any node, and the sequence may be too short to complete.
+    """
+    n = rng.choice((2, 3, 5, 8, 9) + WIDE_NS)
+    sink = rng.randrange(n)
+    return n, sink, random_sequence(rng, n, rng.randint(0, 12 * n))
+
+
+def truncated_at_opt(sequence: InteractionSequence, n: int, sink: int):
+    """The prefix whose final interaction brings the last origin to the sink.
+
+    Returns ``None`` when no convergecast completes.  A sweep that stops one
+    interaction short of a row's length cannot match the oracle on it.
+    """
+    end = opt(sequence, list(range(n)), sink)
+    if not math.isfinite(end):
+        return None
+    return InteractionSequence(
+        [sequence[k] for k in range(int(end) + 1)]
+    )
+
+
+def window_starts(length: int):
+    """Starts before 0, at 0, inside the window, at its end and past it.
+
+    The oracle reads ``sequence[start]`` for negative starts, so they stay
+    within ``-length``.
+    """
+    return (-min(2, length), 0, length // 2, length, length + 3)
+
+
+def padded_cell(rng: random.Random, sequences, n: int):
+    """``(I, J, lengths)`` for ``sequences`` with random-interaction padding.
+
+    The padding is ``4 * n`` random interactions past every row's length,
+    where a convergecast would often complete: a sweep that reads beyond
+    ``lengths`` gives itself away (zero padding would be a sink self-loop
+    for sink 0, which changes nothing).
+    """
     index_of = {node: node for node in range(n)}
-    i, j = sequence_index_blocks(sequence, index_of)
-    return i[None, :], j[None, :], np.array([len(sequence)], dtype=np.int64)
+    width = max(len(s) for s in sequences) + 4 * n
+    I = np.empty((len(sequences), width), dtype=np.int64)
+    J = np.empty_like(I)
+    for row, sequence in enumerate(sequences):
+        I[row], J[row] = random_dense_pairs(rng, n, width)
+        i, j = sequence_index_blocks(sequence, index_of)
+        I[row, : len(sequence)] = i
+        J[row, : len(sequence)] = j
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    return I, J, lengths
+
+
+def assert_arrivals_match(kernel_row, sequence, n, sink, start):
+    oracle = foremost_arrival_times(sequence, list(range(n)), sink, start=start)
+    for node in range(n):
+        assert kernel_row[node] == float(oracle[node]), (n, sink, start, node)
 
 
 class TestForemostArrivalMatrix:
     def test_matches_oracle_on_random_sequences(self):
         rng = random.Random(7)
         for _ in range(120):
-            n = rng.randint(2, 9)
-            sequence = random_sequence(rng, n, rng.randint(0, 90))
-            start = rng.randint(0, max(len(sequence), 1))
-            I, J, lengths = single_row(sequence, n)
-            kernel = foremost_arrival_matrix(I, J, lengths, n, 0, starts=start)
-            oracle = foremost_arrival_times(
-                sequence, list(range(n)), 0, start=start
-            )
-            for node in range(n):
-                assert kernel[0, node] == float(oracle[node])
+            n, sink, sequence = random_case(rng)
+            I, J, lengths = padded_cell(rng, [sequence], n)
+            for start in window_starts(len(sequence)):
+                kernel = foremost_arrival_matrix(
+                    I, J, lengths, n, sink, starts=start
+                )
+                assert_arrivals_match(kernel[0], sequence, n, sink, start)
+
+    def test_last_origin_arrives_at_the_final_interaction(self):
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(60):
+            n, sink, sequence = random_case(rng)
+            prefix = truncated_at_opt(sequence, n, sink)
+            if prefix is None:
+                continue
+            I, J, lengths = padded_cell(rng, [prefix], n)
+            kernel = foremost_arrival_matrix(I, J, lengths, n, sink)
+            assert kernel[0].max() == len(prefix) - 1
+            assert_arrivals_match(kernel[0], prefix, n, sink, 0)
+            checked += 1
+        assert checked >= 10
 
     def test_disconnected_node_is_unreachable(self):
         # Node 3 never interacts: its arrival must be the inf sentinel.
         sequence = InteractionSequence.from_pairs([(1, 0), (2, 0), (1, 2)])
-        I, J, lengths = single_row(sequence, 4)
+        I, J, lengths = padded_cell(random.Random(1), [sequence], 4)
         kernel = foremost_arrival_matrix(I, J, lengths, 4, 0)
         assert kernel[0, 3] == UNREACHABLE
 
     def test_rows_with_different_lengths_and_padding(self):
         rng = random.Random(13)
-        n = 6
-        sequences = [random_sequence(rng, n, length) for length in (0, 5, 40, 17)]
-        index_of = {node: node for node in range(n)}
-        blocks = [sequence_index_blocks(s, index_of) for s in sequences]
-        width = max(len(s) for s in sequences)
-        I = np.zeros((len(sequences), width), dtype=np.int64)
-        J = np.zeros((len(sequences), width), dtype=np.int64)
-        for row, (i, j) in enumerate(blocks):
-            I[row, : i.shape[0]] = i
-            J[row, : j.shape[0]] = j
-        lengths = np.array([len(s) for s in sequences], dtype=np.int64)
-        kernel = foremost_arrival_matrix(I, J, lengths, n, 0)
-        for row, sequence in enumerate(sequences):
-            oracle = foremost_arrival_times(sequence, list(range(n)), 0)
-            for node in range(n):
-                assert kernel[row, node] == float(oracle[node])
+        for n in (6,) + WIDE_NS:
+            sink = rng.randrange(n)
+            sequences = [
+                random_sequence(rng, n, length)
+                for length in (0, 5, 40 * n // 6, 17 * n // 6)
+            ]
+            complete = truncated_at_opt(random_sequence(rng, n, 12 * n), n, sink)
+            if complete is not None:
+                sequences.append(complete)
+            I, J, lengths = padded_cell(rng, sequences, n)
+            kernel = foremost_arrival_matrix(I, J, lengths, n, sink)
+            for row, sequence in enumerate(sequences):
+                assert_arrivals_match(kernel[row], sequence, n, sink, 0)
 
     def test_empty_batch(self):
         I = np.empty((0, 0), dtype=np.int64)
@@ -104,31 +171,29 @@ class TestOptEndMatrix:
     def test_matches_oracle_including_unreachable(self):
         rng = random.Random(21)
         for _ in range(120):
-            n = rng.randint(2, 8)
-            sequence = random_sequence(rng, n, rng.randint(0, 60))
-            I, J, lengths = single_row(sequence, n)
-            for start in (0, len(sequence) // 2, len(sequence)):
-                kernel = opt_end_matrix(I, J, lengths, n, 0, starts=start)
+            n, sink, sequence = random_case(rng)
+            I, J, lengths = padded_cell(rng, [sequence], n)
+            for start in window_starts(len(sequence)):
+                kernel = opt_end_matrix(I, J, lengths, n, sink, starts=start)
                 assert kernel[0] == float(
-                    opt(sequence, list(range(n)), 0, start=start)
+                    opt(sequence, list(range(n)), sink, start=start)
                 )
 
     def test_per_row_starts(self):
         rng = random.Random(3)
-        n = 5
-        sequence = random_sequence(rng, n, 50)
-        index_of = {node: node for node in range(n)}
-        i, j = sequence_index_blocks(sequence, index_of)
-        batch = 4
-        I = np.tile(i, (batch, 1))
-        J = np.tile(j, (batch, 1))
-        lengths = np.full(batch, len(sequence), dtype=np.int64)
-        starts = np.array([0, 7, 20, 49], dtype=np.int64)
-        kernel = opt_end_matrix(I, J, lengths, n, 0, starts=starts)
-        for row, start in enumerate(starts.tolist()):
-            assert kernel[row] == float(
-                opt(sequence, list(range(n)), 0, start=start)
+        for n in (5, 65):
+            sink = n - 1
+            sequence = random_sequence(rng, n, 10 * n)
+            starts = np.array(
+                [-2, 0, 7, 2 * n, 10 * n - 1, 10 * n, 10 * n + 5],
+                dtype=np.int64,
             )
+            I, J, lengths = padded_cell(rng, [sequence] * len(starts), n)
+            kernel = opt_end_matrix(I, J, lengths, n, sink, starts=starts)
+            for row, start in enumerate(starts.tolist()):
+                assert kernel[row] == float(
+                    opt(sequence, list(range(n)), sink, start=start)
+                )
 
     def test_committed_adversary_cell(self):
         nodes = list(range(7))
@@ -154,22 +219,24 @@ class TestSuccessiveConvergecastMatrix:
         rng = random.Random(5)
         count = 6
         for _ in range(80):
-            n = rng.randint(2, 7)
-            sequence = random_sequence(rng, n, rng.randint(0, 80))
-            I, J, lengths = single_row(sequence, n)
+            n, sink, sequence = random_case(rng)
+            prefix = truncated_at_opt(sequence, n, sink)
+            rows = [sequence] if prefix is None else [sequence, prefix]
+            I, J, lengths = padded_cell(rng, rows, n)
             kernel = successive_convergecast_end_matrix(
-                I, J, lengths, n, 0, count
+                I, J, lengths, n, sink, count
             )
-            oracle = successive_convergecasts(
-                sequence, list(range(n)), 0, count=count
-            )
-            for position in range(count):
-                expected = (
-                    float(oracle[position])
-                    if position < len(oracle)
-                    else INFINITY
+            for row, row_sequence in enumerate(rows):
+                oracle = successive_convergecasts(
+                    row_sequence, list(range(n)), sink, count=count
                 )
-                assert kernel[0, position] == expected
+                for position in range(count):
+                    expected = (
+                        float(oracle[position])
+                        if position < len(oracle)
+                        else INFINITY
+                    )
+                    assert kernel[row, position] == expected
 
     def test_rejects_non_positive_count(self):
         I = np.zeros((1, 0), dtype=np.int64)
