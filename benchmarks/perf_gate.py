@@ -38,21 +38,26 @@ surface rather than paper over.  A trajectory file that exists but is
 empty or unparseable always fails with a clear message (exit code 2),
 never a traceback.
 
-The gate also covers the competitive-ratio subsystem's offline-optimum
-kernel (:func:`opt_kernel_records`, appended by
-``benchmarks/test_bench_opt.py``): ``--require-record`` demands that a
-``ratio_kernel`` record exists and its recorded speedup stays above the
-subsystem's acceptance floor (>= 20x vs per-sequence Python).
+Three more record families get a single acceptance floor each rather
+than a ratchet (:data:`FLOOR_GATES`); ``--require-record`` demands that
+each exists and that its latest recorded speedup stays above its floor:
 
-A third record family covers the **knowledge-kernel** workload — the
-three knowledge-heavy algorithms (spanning tree / full knowledge / future
-broadcast) that run trial-vectorized through their own decision kernels
-(:func:`knowledge_kernel_records`, appended by
-``test_bench_engine.test_knowledge_kernel_speedup_and_equality`` under
-the distinct engine tag ``vectorized_knowledge`` so the main vectorized
-ratchet keeps its single-workload meaning).  ``--require-record`` demands
-that a vectorized_knowledge-vs-fast record exists and its recorded
-speedup stays above ``MIN_KNOWLEDGE_VS_FAST``.
+* the competitive-ratio subsystem's offline-optimum kernel
+  (``ratio_kernel`` vs per-sequence Python, appended by
+  ``benchmarks/test_bench_opt.py``, floor ``MIN_OPT_KERNEL_SPEEDUP``);
+* the **knowledge-kernel** workload — the three knowledge-heavy
+  algorithms (spanning tree / full knowledge / future broadcast) on the
+  vectorized engine vs the reference engine (``vectorized_knowledge``,
+  appended by ``benchmarks/test_bench_engine.py``, floor
+  ``MIN_KNOWLEDGE_VS_REFERENCE``);
+* the **mobility** workload — Waiting under the community and waypoint
+  adversaries on the vectorized engine vs the reference engine
+  (``vectorized_mobility``, appended by
+  ``benchmarks/test_bench_mobility.py``, floor
+  ``MIN_MOBILITY_VS_REFERENCE``).
+
+Their distinct engine tags keep the main vectorized ratchet's
+single-workload meaning.
 
 Run from the repository root::
 
@@ -65,6 +70,7 @@ ci.yml``) directly after the benchmark run.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import sys
@@ -115,8 +121,8 @@ def load_trajectory() -> list:
     return trajectory
 
 
-def vectorized_records() -> list:
-    """All vectorized-vs-reference records, in trajectory order.
+def _records(engine: str, baseline: str) -> list:
+    """All ``engine``-vs-``baseline`` records, in trajectory order.
 
     Raises:
         TrajectoryError: if the trajectory file exists but is unreadable.
@@ -124,146 +130,89 @@ def vectorized_records() -> list:
     return [
         record
         for record in load_trajectory()
-        if record.get("engine") == "vectorized"
-        and record.get("baseline") == "reference"
+        if record.get("engine") == engine and record.get("baseline") == baseline
     ]
+
+
+def vectorized_records() -> list:
+    """All vectorized-vs-reference records (the ratcheted workload)."""
+    return _records("vectorized", "reference")
 
 
 def opt_kernel_records() -> list:
-    """All ratio-kernel-vs-per-sequence-Python records, in trajectory order.
-
-    These are appended by ``benchmarks/test_bench_opt.py`` (the offline-
-    optimum kernel of the competitive-ratio subsystem).
-
-    Raises:
-        TrajectoryError: if the trajectory file exists but is unreadable.
-    """
-    return [
-        record
-        for record in load_trajectory()
-        if record.get("engine") == "ratio_kernel"
-        and record.get("baseline") == "offline_python"
-    ]
+    """All ratio-kernel-vs-per-sequence-Python records."""
+    return _records("ratio_kernel", "offline_python")
 
 
 def knowledge_kernel_records() -> list:
-    """All vectorized_knowledge-vs-fast records, in trajectory order.
-
-    These are appended by ``test_bench_engine.
-    test_knowledge_kernel_speedup_and_equality`` (the decision kernels of
-    the knowledge-heavy algorithms: spanning tree, full knowledge, future
-    broadcast).
-
-    Raises:
-        TrajectoryError: if the trajectory file exists but is unreadable.
-    """
-    return [
-        record
-        for record in load_trajectory()
-        if record.get("engine") == "vectorized_knowledge"
-        and record.get("baseline") == "fast"
-    ]
+    """All vectorized_knowledge-vs-reference records."""
+    return _records("vectorized_knowledge", "reference")
 
 
-def check_knowledge_kernel(
-    records: list, require_record: bool, gates: dict | None = None
+def mobility_records() -> list:
+    """All vectorized_mobility-vs-reference records."""
+    return _records("vectorized_mobility", "reference")
+
+
+#: The floor-gated record families: ``(gate key, label, records, record
+#: tag, benchmark module that appends the record and defines the floor,
+#: floor name, baseline wording)``.
+FLOOR_GATES = (
+    ("ratio_kernel", "opt-kernel", opt_kernel_records,
+     "ratio_kernel-vs-offline_python", "test_bench_opt",
+     "MIN_OPT_KERNEL_SPEEDUP", "per-sequence python"),
+    ("knowledge_kernel", "knowledge-kernel", knowledge_kernel_records,
+     "vectorized_knowledge-vs-reference", "test_bench_engine",
+     "MIN_KNOWLEDGE_VS_REFERENCE", "the reference engine"),
+    ("mobility", "mobility-sweep", mobility_records,
+     "vectorized_mobility-vs-reference", "test_bench_mobility",
+     "MIN_MOBILITY_VS_REFERENCE", "the reference engine"),
+)
+
+
+def check_floor(
+    gate: tuple, records: list, require_record: bool, gates: dict | None = None
 ) -> int:
-    """Gate the knowledge-kernel record: presence (CI mode) and hard floor.
+    """Gate one floor family: presence (CI mode) and hard floor.
 
-    Like the opt kernel, this workload gets a single acceptance floor
-    (the same ``MIN_KNOWLEDGE_VS_FAST`` the benchmark asserts) rather
-    than a ratchet: the margin over the fast engine is structurally
-    modest (both engines share the per-trial plan/oracle construction
-    cost), so a host-relative ratchet would mostly track noise.  Returns
-    the exit-code contribution (0 ok, 1 regression, 2 missing required
-    record).
+    These workloads get a single acceptance floor (the same one their
+    benchmark asserts) rather than a ratchet: a host-relative ratchet on a
+    structurally modest or short-running speedup would mostly track noise.
+    Returns the exit-code contribution (0 ok, 1 regression, 2 missing
+    required record).
     """
+    key, label, _, tag, module, floor_name, against = gate
     if not records:
         if require_record:
             print(
-                "perf gate error: BENCH_engine.json holds no "
-                "vectorized_knowledge-vs-fast record; the benchmark step "
-                "that precedes the gate should have appended one (run "
-                "PYTHONPATH=src python -m pytest "
-                "benchmarks/test_bench_engine.py -x -q -s)"
+                f"perf gate error: BENCH_engine.json holds no {tag} record; "
+                "the benchmark step that precedes the gate should have "
+                "appended one (run PYTHONPATH=src python -m pytest "
+                f"benchmarks/{module}.py -x -q -s)"
             )
             if gates is not None:
-                gates["knowledge_kernel"] = {"ok": False, "error": "missing record"}
+                gates[key] = {"ok": False, "error": "missing record"}
             return 2
-        print("no knowledge-kernel record yet; knowledge gate passes (bootstrap)")
+        print(f"no {label} record yet; {label} gate passes (bootstrap)")
         if gates is not None:
-            gates["knowledge_kernel"] = {"ok": True, "bootstrap": True}
+            gates[key] = {"ok": True, "bootstrap": True}
         return 0
-    from test_bench_engine import MIN_KNOWLEDGE_VS_FAST
-
+    floor = getattr(importlib.import_module(module), floor_name)
     latest = records[-1]["speedup"]
     if gates is not None:
-        gates["knowledge_kernel"] = {
-            "ok": latest >= MIN_KNOWLEDGE_VS_FAST,
+        gates[key] = {
+            "ok": latest >= floor,
             "speedup": latest,
-            "floor": MIN_KNOWLEDGE_VS_FAST,
-            "margin": round(latest - MIN_KNOWLEDGE_VS_FAST, 3),
+            "floor": floor,
+            "margin": round(latest - floor, 3),
             "record": records[-1],
         }
     print(
-        f"latest recorded knowledge-kernel speedup: {latest:.1f}x vs the "
-        f"fast engine (floor {MIN_KNOWLEDGE_VS_FAST:.1f}x)"
+        f"latest recorded {label} speedup: {latest:.1f}x vs {against} "
+        f"(floor {floor:.1f}x)"
     )
-    if latest < MIN_KNOWLEDGE_VS_FAST:
-        print(
-            f"FAIL: knowledge-kernel speedup {latest:.1f}x below the "
-            f"{MIN_KNOWLEDGE_VS_FAST:.1f}x floor"
-        )
-        return 1
-    return 0
-
-
-def check_opt_kernel(
-    records: list, require_record: bool, gates: dict | None = None
-) -> int:
-    """Gate the opt-kernel record: presence (CI mode) and hard floor.
-
-    The opt kernel has a single acceptance floor (>= 20x, the same one
-    ``test_bench_opt.py`` asserts) rather than a ratchet: its wall-clock
-    is dominated by one short forward sweep per row, so the two-tier host
-    tolerance of the engine gate adds nothing.  Returns the exit-code
-    contribution (0 ok, 1 regression, 2 missing required record).
-    """
-    if not records:
-        if require_record:
-            print(
-                "perf gate error: BENCH_engine.json holds no ratio_kernel-"
-                "vs-offline_python record; the benchmark step that precedes "
-                "the gate should have appended one (run PYTHONPATH=src "
-                "python -m pytest benchmarks/test_bench_opt.py -x -q -s)"
-            )
-            if gates is not None:
-                gates["ratio_kernel"] = {"ok": False, "error": "missing record"}
-            return 2
-        print("no opt-kernel record yet; opt gate passes (bootstrap)")
-        if gates is not None:
-            gates["ratio_kernel"] = {"ok": True, "bootstrap": True}
-        return 0
-    from test_bench_opt import MIN_OPT_KERNEL_SPEEDUP
-
-    latest = records[-1]["speedup"]
-    if gates is not None:
-        gates["ratio_kernel"] = {
-            "ok": latest >= MIN_OPT_KERNEL_SPEEDUP,
-            "speedup": latest,
-            "floor": MIN_OPT_KERNEL_SPEEDUP,
-            "margin": round(latest - MIN_OPT_KERNEL_SPEEDUP, 3),
-            "record": records[-1],
-        }
-    print(
-        f"latest recorded opt-kernel speedup: {latest:.1f}x vs per-sequence "
-        f"python (floor {MIN_OPT_KERNEL_SPEEDUP:.0f}x)"
-    )
-    if latest < MIN_OPT_KERNEL_SPEEDUP:
-        print(
-            f"FAIL: opt-kernel speedup {latest:.1f}x below the "
-            f"{MIN_OPT_KERNEL_SPEEDUP:.0f}x floor"
-        )
+    if latest < floor:
+        print(f"FAIL: {label} speedup {latest:.1f}x below the {floor:.1f}x floor")
         return 1
     return 0
 
@@ -278,9 +227,7 @@ def measure_and_record() -> dict:
         measure_vectorized_engine,
     )
 
-    reference_seconds, fast_seconds, vectorized_seconds = (
-        measure_vectorized_engine()
-    )
+    reference_seconds, vectorized_seconds = measure_vectorized_engine()
     speedup = reference_seconds / vectorized_seconds
     record = {
         "engine": "vectorized",
@@ -296,9 +243,8 @@ def measure_and_record() -> dict:
     record_bench_trajectory("engine", record)
     print(
         f"measured (n={BENCH_N}, trials={BENCH_TRIALS}): reference "
-        f"{reference_seconds:.3f}s, fast {fast_seconds:.3f}s, vectorized "
-        f"{vectorized_seconds:.3f}s -> {speedup:.1f}x vs reference "
-        "(recorded)"
+        f"{reference_seconds:.3f}s, vectorized {vectorized_seconds:.3f}s "
+        f"-> {speedup:.1f}x vs reference (recorded)"
     )
     return record
 
@@ -369,8 +315,7 @@ def _run(argv: list, gates: dict) -> int:
     """The gate body; text goes to stdout, structured results into ``gates``."""
     try:
         records = vectorized_records()
-        opt_records = opt_kernel_records()
-        knowledge_records = knowledge_kernel_records()
+        floor_records = [gate[2]() for gate in FLOOR_GATES]
     except TrajectoryError as error:
         print(f"perf gate error: {error}")
         gates["trajectory"] = {"ok": False, "error": str(error)}
@@ -388,14 +333,12 @@ def _run(argv: list, gates: dict) -> int:
         )
         gates["vectorized"] = {"ok": False, "error": "missing record"}
         return 2
-    opt_exit = check_opt_kernel(opt_records, "--require-record" in argv, gates)
-    if opt_exit:
-        return opt_exit
-    knowledge_exit = check_knowledge_kernel(
-        knowledge_records, "--require-record" in argv, gates
-    )
-    if knowledge_exit:
-        return knowledge_exit
+    for gate, gate_records in zip(FLOOR_GATES, floor_records):
+        floor_exit = check_floor(
+            gate, gate_records, "--require-record" in argv, gates
+        )
+        if floor_exit:
+            return floor_exit
     if "--measure" in argv or not records:
         measured = measure_and_record()
         prior = records

@@ -44,10 +44,24 @@ def opt_record(speedup, host="ci"):
 def knowledge_record(speedup, host="ci"):
     return {
         "engine": "vectorized_knowledge",
-        "baseline": "fast",
+        "baseline": "reference",
         "speedup": speedup,
         "host": host,
     }
+
+
+def mobility_record(speedup, host="ci"):
+    return {
+        "engine": "vectorized_mobility",
+        "baseline": "reference",
+        "speedup": speedup,
+        "host": host,
+    }
+
+
+def floor_records():
+    """One healthy record of every floor-gated family."""
+    return [opt_record(20.0), knowledge_record(3.1), mobility_record(6.5)]
 
 
 class TestTrajectoryLoading:
@@ -104,17 +118,13 @@ class TestMainExitCodes:
         assert "no vectorized-vs-reference record" in capsys.readouterr().out
 
     def test_single_record_bootstrap_passes(self, gate_dir, capsys):
-        write_trajectory(gate_dir, [
-            vectorized_record(32.0), opt_record(20.0),
-            knowledge_record(2.1),
-        ])
+        write_trajectory(gate_dir, [vectorized_record(32.0), *floor_records()])
         assert perf_gate.main(["--require-record"]) == 0
         assert "bootstrap" in capsys.readouterr().out
 
     def test_healthy_latest_record_passes(self, gate_dir, capsys):
         write_trajectory(gate_dir, [
-            vectorized_record(32.0), vectorized_record(31.0),
-            opt_record(20.0), knowledge_record(2.1),
+            vectorized_record(32.0), vectorized_record(31.0), *floor_records(),
         ])
         assert perf_gate.main(["--require-record"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -163,7 +173,7 @@ class TestOptKernelGate:
     def test_healthy_opt_record_reported(self, gate_dir, capsys):
         write_trajectory(gate_dir, [
             vectorized_record(32.0), vectorized_record(31.0),
-            opt_record(20.3), knowledge_record(2.1),
+            opt_record(20.3), knowledge_record(3.1), mobility_record(6.5),
         ])
         assert perf_gate.main(["--require-record"]) == 0
         out = capsys.readouterr().out
@@ -176,12 +186,13 @@ class TestKnowledgeKernelGate:
     def test_records_filter(self, gate_dir):
         write_trajectory(gate_dir, [
             vectorized_record(32.0), opt_record(20.0),
-            knowledge_record(2.1), knowledge_record(2.3),
-            {"engine": "vectorized_knowledge", "baseline": "reference",
-             "speedup": 3.7},
+            knowledge_record(3.1), knowledge_record(3.3),
+            # Historic records against the removed fast engine are ignored.
+            {"engine": "vectorized_knowledge", "baseline": "fast",
+             "speedup": 1.9},
         ])
         records = perf_gate.knowledge_kernel_records()
-        assert [r["speedup"] for r in records] == [2.1, 2.3]
+        assert [r["speedup"] for r in records] == [3.1, 3.3]
 
     def test_require_record_fails_without_knowledge_record(
         self, gate_dir, capsys
@@ -192,7 +203,8 @@ class TestKnowledgeKernelGate:
         ])
         assert perf_gate.main(["--require-record"]) == 2
         out = capsys.readouterr().out
-        assert "vectorized_knowledge" in out and "test_bench_engine" in out
+        assert "vectorized_knowledge-vs-reference" in out
+        assert "test_bench_engine" in out
 
     def test_missing_knowledge_record_is_bootstrap_without_require(
         self, gate_dir, capsys
@@ -207,16 +219,49 @@ class TestKnowledgeKernelGate:
     def test_knowledge_record_below_floor_fails(self, gate_dir, capsys):
         write_trajectory(gate_dir, [
             vectorized_record(32.0), vectorized_record(31.0),
-            opt_record(20.0), knowledge_record(0.8),
+            opt_record(20.0), knowledge_record(2.1), mobility_record(6.5),
         ])
         assert perf_gate.main(["--require-record"]) == 1
         assert "knowledge-kernel speedup" in capsys.readouterr().out
 
     def test_healthy_knowledge_record_reported(self, gate_dir, capsys):
         write_trajectory(gate_dir, [
-            vectorized_record(32.0), vectorized_record(31.0),
-            opt_record(20.0), knowledge_record(2.1),
+            vectorized_record(32.0), vectorized_record(31.0), *floor_records(),
         ])
         assert perf_gate.main(["--require-record"]) == 0
         out = capsys.readouterr().out
-        assert "knowledge-kernel speedup: 2.1x" in out
+        assert "knowledge-kernel speedup: 3.1x" in out
+
+
+class TestMobilityGate:
+    """The vectorized mobility record is covered by --require-record and a
+    floor (it replaced the removed fast engine's batched mobility record)."""
+
+    def test_records_filter(self, gate_dir):
+        write_trajectory(gate_dir, [
+            vectorized_record(32.0), mobility_record(6.5),
+            {"engine": "fast_batched", "baseline": "reference",
+             "speedup": 4.4},
+        ])
+        records = perf_gate.mobility_records()
+        assert [r["speedup"] for r in records] == [6.5]
+
+    def test_require_record_fails_without_mobility_record(
+        self, gate_dir, capsys
+    ):
+        write_trajectory(gate_dir, [
+            vectorized_record(32.0), vectorized_record(31.0),
+            opt_record(20.0), knowledge_record(3.1),
+        ])
+        assert perf_gate.main(["--require-record"]) == 2
+        out = capsys.readouterr().out
+        assert "vectorized_mobility-vs-reference" in out
+        assert "test_bench_mobility" in out
+
+    def test_mobility_record_below_floor_fails(self, gate_dir, capsys):
+        write_trajectory(gate_dir, [
+            vectorized_record(32.0), vectorized_record(31.0),
+            opt_record(20.0), knowledge_record(3.1), mobility_record(1.2),
+        ])
+        assert perf_gate.main(["--require-record"]) == 1
+        assert "mobility-sweep speedup 1.2x" in capsys.readouterr().out

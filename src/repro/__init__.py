@@ -66,7 +66,6 @@ from .core import (
     DataToken,
     ExecutionResult,
     Executor,
-    FastExecutor,
     Interaction,
     InteractionSequence,
     NetworkState,
@@ -112,7 +111,7 @@ from .sim import (
     sweep_adversary_batched,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 from .campaign import (  # noqa: E402  (needs __version__ for store manifests)
     CampaignReport,
@@ -141,7 +140,6 @@ __all__ = [
     "ExecutionResult",
     "Executor",
     "ExperimentReport",
-    "FastExecutor",
     "FullKnowledge",
     "FullKnowledgeOracle",
     "FutureBroadcast",

@@ -12,12 +12,13 @@ Q3), and the mobility families in :mod:`repro.adversaries.mobility`:
   O(1) growth (:meth:`CommittedBlockAdversary.draw_block`);
 * fixed-chunk extension (:data:`COMMIT_CHUNK`) so the committed future for a
   given seed does not depend on the query pattern — single
-  ``interaction_at`` calls, block reads from the fast engine, oracle
+  ``interaction_at`` calls, block reads from the vectorized engine, oracle
   extensions from ``next_meeting``, or parallel workers re-deriving the same
   trial all observe the same sequence;
 * batched reads (:meth:`CommittedBlockAdversary.committed_index_block`),
-  which is what lets :class:`~repro.core.fast_execution.FastExecutor`
-  consume *any* committed adversary without per-interaction allocations;
+  which is what lets :class:`~repro.core.vector_execution.
+  VectorizedExecutor` consume *any* committed adversary without
+  per-interaction allocations;
 * lazily built per-pair meeting indices backing ``next_meeting``.
 
 Subclasses implement a single hook, :meth:`_sample_block`, which draws the
@@ -48,6 +49,25 @@ from .base import Adversary
 #: oracle-driven scans (Waiting Greedy's meet tables) do not over-draw;
 #: ``max_horizon`` still caps the waste on short runs.
 COMMIT_CHUNK = 8192
+
+
+class CommittedPrefix(InteractionSequence):
+    """A committed prefix that keeps the dense node-index arrays it came from.
+
+    Equal to, and usable anywhere as, the plain
+    :class:`~repro.core.interaction.InteractionSequence` of the same pairs.
+    The vectorized engine reads ``index_pairs`` (indices into
+    ``index_nodes``, in draw order) instead of mapping every interaction's
+    endpoints back to dense indices.
+    """
+
+    def __init__(
+        self, nodes: Sequence[NodeId], i: np.ndarray, j: np.ndarray
+    ) -> None:
+        node_at = nodes.__getitem__
+        super().__init__(zip(map(node_at, i.tolist()), map(node_at, j.tolist())))
+        self.index_nodes: List[NodeId] = list(nodes)
+        self.index_pairs: Tuple[np.ndarray, np.ndarray] = (i, j)
 
 
 class CommittedBlockAdversary(Adversary):
@@ -209,18 +229,13 @@ class CommittedBlockAdversary(Adversary):
             self._nodes[int(self._pj[time])],
         )
 
-    def committed_prefix(self, length: int) -> InteractionSequence:
+    def committed_prefix(self, length: int) -> "CommittedPrefix":
         """The first ``length`` committed interactions as a sequence."""
         self.ensure_committed(length)
         length = min(length, self._size)
-        nodes = self._nodes
-        pairs = [
-            (nodes[i], nodes[j])
-            for i, j in zip(
-                self._pi[:length].tolist(), self._pj[:length].tolist()
-            )
-        ]
-        return InteractionSequence.from_pairs(pairs)
+        return CommittedPrefix(
+            self._nodes, self._pi[:length].copy(), self._pj[:length].copy()
+        )
 
     def committed_index_block(
         self, start: int, stop: int
@@ -230,7 +245,7 @@ class CommittedBlockAdversary(Adversary):
         Commits further draws as needed; the returned block is truncated at
         ``max_horizon`` (or at a finite future's end), so it may be shorter
         than requested — empty once the committed future is exhausted.  This
-        is the fast engine's batched alternative to per-interaction
+        is the vectorized engine's batched alternative to per-interaction
         :meth:`interaction_at` calls.
         """
         self.ensure_committed(stop)

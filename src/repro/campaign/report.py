@@ -33,7 +33,7 @@ from ..analysis.fitting import fit_power_law
 from ..analysis.ratio import RatioPoint, fit_ratio_trend, summarize_finite_ratios
 from ..analysis.statistics import summarize_sample
 from ..sim.results import ResultTable
-from .spec import CampaignSpec, spec_from_dict
+from .spec import CampaignSpec, spec_from_manifest
 from .store import CampaignStore
 
 __all__ = ["CampaignReport", "build_campaign_report", "write_campaign_figures"]
@@ -103,7 +103,7 @@ def _load_verified(store_dir: "str | Path"):
     """
     store = CampaignStore(store_dir)
     manifest = store.read_manifest()
-    spec = spec_from_dict(dict(manifest.get("spec", {})))
+    spec = spec_from_manifest(manifest)
     statuses = store.verify(spec)
     return store, manifest, spec, statuses
 

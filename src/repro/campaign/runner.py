@@ -40,7 +40,12 @@ from ..obs import (
 )
 from ..obs import now as _now
 from ..sim.parallel import run_sweep_cells
-from .spec import CampaignCell, CampaignSpec, algorithm_factory_for
+from .spec import (
+    CampaignCell,
+    CampaignSpec,
+    algorithm_factory_for,
+    spec_from_manifest,
+)
 from .store import CampaignStore
 
 __all__ = ["CampaignRunSummary", "campaign_status", "default_store_dir", "run_campaign"]
@@ -213,12 +218,9 @@ def campaign_status(store_dir: "str | Path") -> str:
     Raises:
         CampaignStoreError: if the directory is not a campaign store.
     """
-    from .spec import spec_from_dict
-
     store = CampaignStore(store_dir)
     manifest = store.read_manifest()
-    spec_echo = dict(manifest.get("spec", {}))
-    spec = spec_from_dict(spec_echo)
+    spec = spec_from_manifest(manifest)
     statuses = store.verify(spec)
     # Wall-time / throughput columns come from the observe-only telemetry
     # sidecar; a store without one (or written before telemetry existed)

@@ -116,8 +116,7 @@ class CampaignSpec:
         experiment: seed-derivation label (changing it changes every seed).
         engine: default execution engine (overridable at run time — results
             are engine-invariant, wall-clock is not).
-        block_size: committed-window override for the fast/vectorized
-            engines.
+        block_size: committed-window override for the vectorized engine.
         adversary_params: per-family parameter overrides, e.g.
             ``{"zipf": {"exponent": 1.5}}``.
         ratio: when True every trial also captures the offline-optimum
@@ -161,6 +160,11 @@ class CampaignSpec:
                     f"unknown adversary family {adversary!r}; "
                     f"available: {sorted(ADVERSARY_FAMILIES)}"
                 )
+        if self.engine == "fast":
+            raise CampaignSpecError(
+                "engine 'fast' was removed in repro 1.6.0; use "
+                "engine = \"vectorized\" (results are identical)"
+            )
         if self.engine not in ENGINES:
             raise CampaignSpecError(
                 f"unknown engine {self.engine!r}; available: {sorted(ENGINES)}"
@@ -345,6 +349,20 @@ def spec_from_dict(data: Mapping[str, Any]) -> CampaignSpec:
             str(family): dict(overrides) for family, overrides in params.items()
         }
     return CampaignSpec(**kwargs)
+
+
+def spec_from_manifest(manifest: Mapping[str, Any]) -> CampaignSpec:
+    """The spec echoed in a store manifest, reconstructed for reading.
+
+    The engine is outside :meth:`CampaignSpec.spec_hash` and decides no
+    result, so an echo naming an engine this version no longer has (a
+    store written under the removed ``fast`` engine) reads back with the
+    default engine: ``campaign status`` and ``report`` keep working on it.
+    """
+    echo = dict(manifest.get("spec", {}))
+    if echo.get("engine") not in ENGINES:
+        echo.pop("engine", None)
+    return spec_from_dict(echo)
 
 
 def load_campaign_spec(path: "str | Path") -> CampaignSpec:

@@ -31,7 +31,7 @@ executor everywhere it appears (``sweep`` defaults to ``vectorized``, the
 other commands to ``reference``); ``--workers`` distributes sweep cells
 over processes, splitting each ``n``'s trials into one contiguous range
 per worker; ``--block-size`` tunes the
-fast/vectorized engines' committed window.  ``--ratio`` (on ``run``,
+vectorized engine's committed window.  ``--ratio`` (on ``run``,
 ``run-all``, ``trial`` and ``sweep``) additionally captures the offline-optimum baseline per
 trial, adding ``opt_cost``/``competitive_ratio`` metrics and ratio table
 columns (``docs/metrics.md``); campaign specs opt in with ``ratio = true``
@@ -75,10 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
             choices=sorted(ENGINES),
             default="reference",
             help="execution engine: 'reference' is the semantics oracle, "
-            "'fast' removes per-interaction overhead, 'vectorized' runs "
-            "whole sweep cells as numpy arrays (kernel-less algorithms "
-            "fall back to the fast engine) — all three produce identical "
-            "results seed for seed (default: %(default)s)",
+            "'vectorized' runs whole sweep cells as numpy arrays (the few "
+            "trials its kernels cannot mirror fall back to the reference "
+            "engine) — both produce identical results seed for seed "
+            "(default: %(default)s)",
         )
 
     def add_workers_option(target: argparse.ArgumentParser) -> None:
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="committed-future window consumed per engine step "
-        "(tuning knob for --engine fast/vectorized; default: the "
+        "(tuning knob for --engine vectorized; default: the "
         "engine's benchmarked default)",
     )
 
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override the spec's committed-window block size for the "
-        "fast/vectorized engines",
+        "vectorized engine",
     )
 
     campaign_status_parser = campaign_sub.add_parser(

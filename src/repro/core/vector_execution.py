@@ -1,8 +1,7 @@
 """Trial-vectorized execution: a whole sweep cell as struct-of-arrays.
 
-:class:`VectorizedExecutor` is the third interchangeable execution engine
-(after the reference :class:`~repro.core.execution.Executor` and the
-per-trial-optimised :class:`~repro.core.fast_execution.FastExecutor`).  It
+:class:`VectorizedExecutor` is the optimised counterpart of the reference
+:class:`~repro.core.execution.Executor`, the semantics oracle.  It
 executes a *batch* of B trials simultaneously in struct-of-arrays form —
 ``owns_data[B, n]``, ``transmitted_at[B, n]``, ``origin_counts[B, n]``
 (payloads fold scalar-side in event order, in per-row lists, to reproduce
@@ -36,12 +35,13 @@ leaves the lockstep.  The few trials the kernels cannot reproduce exactly —
 an adaptive / non-committed interaction source, an oracle shape a kernel
 cannot mirror, ``enforce_oblivious`` runs, unorderable node identifiers, a
 sequential-kernel (RNG) algorithm instance shared across trials — fall back
-to :class:`~repro.core.fast_execution.FastExecutor`, and the engine reports
-each downgrade through :attr:`VectorizedExecutor.last_fallbacks`
-(per-trial :class:`EngineFallback` records with human-readable reasons);
-the sim layer surfaces nonzero counts as :class:`EngineFallbackWarning`.
+to the reference :class:`~repro.core.execution.Executor`, one trial at a
+time in batch order, and the engine reports each downgrade through
+:attr:`VectorizedExecutor.last_fallbacks` (per-trial
+:class:`EngineFallback` records with human-readable reasons); the sim layer
+surfaces nonzero counts as :class:`EngineFallbackWarning`.
 
-Engine selection guidance lives in ``src/repro/README.md``; the speedup
+Engine selection guidance lives in ``docs/engines.md``; the speedup
 trajectory (~32x over the reference engine on the standard n = 120
 Waiting / Gathering / Waiting-Greedy sweep) is recorded in
 ``benchmarks/BENCH_engine.json`` and regression-gated by
@@ -55,7 +55,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..adversaries.committed import CommittedBlockAdversary
+from ..adversaries.committed import CommittedBlockAdversary, CommittedPrefix
 from ..obs import current_collector
 from ..obs import now as _now
 from ..algorithms.kernels import (
@@ -65,41 +65,96 @@ from ..algorithms.kernels import (
     PENDING,
     get_kernel,
 )
+from ..ratio.kernels import opt_end_matrix, sequence_index_blocks
+from ..ratio.semantics import opt_cost_from_end
 from .algorithm import DODAAlgorithm
 from .data import AggregationFunction, NodeId, SUM
 from .exceptions import ConfigurationError, ModelViolationError
-from .execution import ExecutionResult, InteractionProvider, Transmission
-from .fast_execution import (
-    BatchTrial,
-    DEFAULT_BLOCK_SIZE,
-    FastExecutor,
-    identifier_ranks,
-    validate_instance,
+from .execution import (
+    ExecutionResult,
+    Executor,
+    InteractionProvider,
+    Transmission,
 )
 from .interaction import InteractionSequence
 
 __all__ = [
+    "BatchTrial",
+    "DEFAULT_BLOCK_SIZE",
     "EngineFallback",
     "EngineFallbackWarning",
     "VectorizedExecutor",
     "INITIAL_BLOCK",
 ]
 
+#: Default number of committed interactions consumed per lockstep window
+#: (the cap the window doubles up to).  Large enough to amortise the numpy
+#: slicing, small enough that an early termination does not force drawing
+#: far beyond the duration.  Pinned by the micro-benchmark in
+#: ``benchmarks/test_bench_blocksize.py``.
+DEFAULT_BLOCK_SIZE = 4096
+
+
+def validate_instance(nodes: List[NodeId], sink: NodeId) -> None:
+    """The DODA instance checks the vectorized engine makes up front.
+
+    Raises:
+        ModelViolationError: on a sink outside the node set, duplicate
+            identifiers, or fewer than two nodes.
+    """
+    if sink not in nodes:
+        raise ModelViolationError(f"sink {sink!r} is not among the nodes")
+    if len(set(nodes)) != len(nodes):
+        raise ModelViolationError("node identifiers must be unique")
+    if len(nodes) < 2:
+        raise ModelViolationError("a DODA instance needs at least 2 nodes")
+
+
+def identifier_ranks(nodes: List[NodeId]) -> Optional[List[int]]:
+    """Canonical presentation rank per dense index, or None.
+
+    Mirrors :class:`~repro.core.interaction.Interaction`'s ordering: the
+    rank of a node is its position in the sorted identifier order.  Returns
+    None when the identifiers are not totally ordered (the vectorized
+    engine then routes every trial to the reference fallback).
+    """
+    try:
+        rank_of = {node: rank for rank, node in enumerate(sorted(nodes))}
+        return [rank_of[node] for node in nodes]
+    except TypeError:
+        return None
+
+
+@dataclass
+class BatchTrial:
+    """One trial of a :meth:`VectorizedExecutor.run_many` batch.
+
+    ``algorithm`` / ``knowledge`` default to the executor's own when None —
+    pass per-trial instances when each trial carries its own oracle state
+    (e.g. a ``meetTime`` oracle bound to that trial's adversary).
+    """
+
+    source: Any
+    max_interactions: Optional[int] = None
+    algorithm: Optional[Any] = None
+    knowledge: Optional[Any] = None
+    initial_payloads: Optional[dict] = None
+
 
 class EngineFallbackWarning(RuntimeWarning):
-    """A vectorized batch silently ran some trials on the fallback engine.
+    """A vectorized batch ran some trials on the reference engine.
 
     Emitted (once per sweep cell, by the sim layer) when a batch submitted
-    to :class:`VectorizedExecutor` routed one or more trials to
-    :class:`~repro.core.fast_execution.FastExecutor`: the results are still
-    exact, but any ``engine=vectorized`` label on the cell's timings no
-    longer describes how those trials actually ran.
+    to :class:`VectorizedExecutor` routed one or more trials to the
+    reference :class:`~repro.core.execution.Executor`: the results are
+    still exact, but any ``engine=vectorized`` label on the cell's timings
+    no longer describes how those trials actually ran.
     """
 
 
 @dataclass(frozen=True)
 class EngineFallback:
-    """One trial of a batch that ran on the fallback engine, and why.
+    """One trial of a batch that ran on the reference engine, and why.
 
     ``position`` is the trial's index in the batch submitted to
     :meth:`VectorizedExecutor.run_many`; ``reason`` is a human-readable
@@ -113,7 +168,9 @@ class EngineFallback:
 #: candidate walk short through the dense early phase (when every node
 #: still owns data, every interaction is a candidate); the block length
 #: doubles up to the engine's ``block_size`` as owners thin out and
-#: candidates become rare.
+#: candidates become rare.  Instances with fewer than 32 nodes start at
+#: ``n * n`` instead (about a Gathering run), so a single small trial does
+#: not pay for window-wide array work past its termination.
 INITIAL_BLOCK = 1024
 
 #: After this many stale candidates (endpoints that lost data earlier in
@@ -131,17 +188,20 @@ class _SequenceBlocks:
     """
 
     def __init__(self, sequence: InteractionSequence, index_of: Dict[NodeId, int]) -> None:
-        length = len(sequence)
-        self._i = np.fromiter(
-            (index_of[sequence[k].u] for k in range(length)),
-            dtype=np.int64,
-            count=length,
-        )
-        self._j = np.fromiter(
-            (index_of[sequence[k].v] for k in range(length)),
-            dtype=np.int64,
-            count=length,
-        )
+        if not isinstance(sequence, CommittedPrefix):
+            self._i, self._j = sequence_index_blocks(sequence, index_of)
+            return
+        i, j = sequence.index_pairs
+        if sequence.index_nodes != list(index_of):
+            translate = np.fromiter(
+                (index_of.get(node, -1) for node in sequence.index_nodes),
+                dtype=np.int64,
+                count=len(sequence.index_nodes),
+            )
+            i, j = translate[i], translate[j]
+            if i.size and min(int(i.min()), int(j.min())) < 0:
+                raise KeyError("prefix mentions a node outside index_of")
+        self._i, self._j = i, j
 
     def committed_index_block(self, start: int, stop: int):
         stop = min(stop, self._i.shape[0])
@@ -167,9 +227,9 @@ class _KernelTrial:
 class VectorizedExecutor:
     """Run batches of DODA trials as numpy struct-of-arrays.
 
-    Construction mirrors :class:`~repro.core.fast_execution.FastExecutor`
-    (and therefore the reference executor); ``block_size`` bounds the
-    committed-future window consumed per lockstep iteration.
+    Construction mirrors the reference :class:`~repro.core.execution.
+    Executor`; ``block_size`` bounds the committed-future window consumed
+    per lockstep iteration.
 
     Args:
         nodes: the node set shared by every trial of a batch.
@@ -177,12 +237,12 @@ class VectorizedExecutor:
         algorithm: default algorithm (overridable per trial).
         aggregation: payload fold.
         knowledge: default knowledge bundle (overridable per trial).
-        enforce_oblivious: when True every trial falls back to
-            :class:`FastExecutor`, which implements the memory-write check
+        enforce_oblivious: when True every trial falls back to the
+            reference engine, which implements the memory-write check
             (kernels never touch node memory, so there is nothing to
             enforce on the kernel path).
         block_size: maximum lockstep window length (default
-            :data:`~repro.core.fast_execution.DEFAULT_BLOCK_SIZE`).
+            :data:`DEFAULT_BLOCK_SIZE`).
     """
 
     def __init__(
@@ -214,9 +274,8 @@ class VectorizedExecutor:
         self.sink_index = self.index_of[sink]
         available = () if knowledge is None else knowledge.provides()
         algorithm.validate_knowledge(available)
-        # Canonical identifier ranks, shared with the fast engine so the
-        # ordering convention cannot drift between them; unorderable
-        # identifier types route every trial to the fallback.
+        # Canonical identifier ranks; unorderable identifier types route
+        # every trial to the reference fallback.
         ranks = identifier_ranks(self.nodes)
         self._rank: Optional[np.ndarray] = (
             None if ranks is None else np.asarray(ranks, dtype=np.int64)
@@ -257,8 +316,8 @@ class VectorizedExecutor:
 
         Results are identical to running each trial through the reference
         executor — trials the kernels cannot reproduce exactly are executed
-        by a :class:`FastExecutor` (itself differentially pinned to the
-        reference engine), so the returned list is uniformly exact.
+        by the reference executor itself, one at a time in batch order, so
+        the returned list is uniformly exact.
         """
         batch = list(trials)
         collector = current_collector()
@@ -283,7 +342,7 @@ class VectorizedExecutor:
         # interleaving rows would consume the shared stream in a different
         # order than sequential per-trial execution.  All trials of such an
         # instance fall back together, which preserves their mutual order
-        # (FastExecutor.run_many is sequential) and therefore the stream.
+        # (the fallback runs sequentially) and therefore the stream.
         stateful_uses: Dict[int, int] = {}
         for algorithm in effective:
             try:
@@ -294,8 +353,7 @@ class VectorizedExecutor:
                 key = id(algorithm)
                 stateful_uses[key] = stateful_uses.get(key, 0) + 1
         kernel_trials: List[_KernelTrial] = []
-        fallback: List[BatchTrial] = []
-        fallback_positions: List[int] = []
+        fallback: List[Tuple[int, DODAAlgorithm, Any, BatchTrial]] = []
         fallbacks: List[EngineFallback] = []
         for position, trial in enumerate(batch):
             algorithm = effective[position]
@@ -318,8 +376,7 @@ class VectorizedExecutor:
                 algorithm.on_run_start(self.nodes, self.sink)
                 kernel_trials.append(prepared)
             else:
-                fallback.append(trial)
-                fallback_positions.append(position)
+                fallback.append((position, algorithm, knowledge, trial))
                 fallbacks.append(
                     EngineFallback(position=position, reason=prepared)
                 )
@@ -332,21 +389,20 @@ class VectorizedExecutor:
                     position=record.position,
                     reason=record.reason,
                 )
-        if fallback:
-            engine = FastExecutor(
+        for position, algorithm, knowledge, trial in fallback:
+            results[position] = Executor(
                 self.nodes,
                 self.sink,
-                self.algorithm,
+                algorithm,
                 aggregation=self.aggregation,
-                knowledge=self.knowledge,
+                knowledge=knowledge,
                 enforce_oblivious=self.enforce_oblivious,
-                block_size=self.block_size,
                 capture_opt=self.capture_opt,
+            ).run(
+                trial.source,
+                max_interactions=trial.max_interactions,
+                initial_payloads=trial.initial_payloads,
             )
-            for position, result in zip(
-                fallback_positions, engine.run_many(fallback)
-            ):
-                results[position] = result
         if kernel_trials:
             for position, result in self._run_lockstep(kernel_trials):
                 results[position] = result
@@ -354,7 +410,7 @@ class VectorizedExecutor:
 
     @property
     def last_fallback_count(self) -> int:
-        """How many trials of the last batch ran on the fallback engine."""
+        """How many trials of the last batch ran on the reference engine."""
         return len(self.last_fallbacks)
 
     @property
@@ -391,9 +447,9 @@ class VectorizedExecutor:
             try:
                 fetcher: Any = _SequenceBlocks(source, self.index_of)
             except KeyError:
-                # The per-interaction engines only trip over such an
+                # The reference engine only trips over such an
                 # interaction if the run actually reaches it, so route the
-                # trial to the fallback instead of failing eagerly.
+                # trial to it instead of failing eagerly.
                 return (
                     "interaction sequence mentions nodes outside the "
                     "executor's node set"
@@ -413,8 +469,8 @@ class VectorizedExecutor:
                         count=len(source_nodes),
                     )
                 except KeyError:
-                    # Let the fallback engine report (or survive) the
-                    # mismatch exactly as the reference engine would.
+                    # Let the reference engine report (or survive) the
+                    # mismatch.
                     return (
                         "adversary node set is not a subset of the "
                         "executor's node set"
@@ -485,7 +541,7 @@ class VectorizedExecutor:
 
         active = [b for b in range(batch_size) if horizons[b] > 0]
         cursor = 0
-        window = min(INITIAL_BLOCK, self.block_size)
+        window = min(INITIAL_BLOCK, self.block_size, n * n)
         while active:
             stops = [min(horizons[b], cursor + window) for b in active]
             # Padding with 0 (a always-valid dense index) lets the ownership
@@ -646,9 +702,6 @@ class VectorizedExecutor:
         node translation, and evaluates ``opt(0)`` for the whole ``(B, L)``
         cell; the kernel's sweep stops at each row's ``opt``.
         """
-        from ..ratio.kernels import opt_end_matrix
-        from ..ratio.semantics import opt_cost_from_end
-
         matrix_i, matrix_j, lengths = (
             CommittedBlockAdversary.committed_index_matrix(
                 [trial.fetcher for trial in kernel_trials],

@@ -20,7 +20,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..campaign.report import build_campaign_report
 from ..campaign.runner import run_campaign
@@ -32,11 +32,17 @@ from ..sim.results import ExperimentReport, ResultTable
 def run_campaign_roundtrip(
     ns: Sequence[int] = (8, 10),
     trials: int = 3,
-    engine: str = "fast",
-    resume_engine: str = "vectorized",
+    engine: str = "vectorized",
+    resume_engine: Optional[str] = None,
     master_seed: int = 0,
 ) -> ExperimentReport:
-    """E24 — fresh-run ≡ interrupted-and-resumed-run, cell for cell."""
+    """E24 — fresh-run ≡ interrupted-and-resumed-run, cell for cell.
+
+    The resumed leg finishes under ``resume_engine``, by default the engine
+    that is not ``engine``.
+    """
+    if resume_engine is None:
+        resume_engine = "reference" if engine == "vectorized" else "vectorized"
     spec = CampaignSpec(
         name="e24-roundtrip",
         algorithms=("gathering", "waiting"),

@@ -292,14 +292,13 @@ def run_vectorized_engine_check(
     n: int = 40,
     trials: int = 5,
     master_seed: int = 0,
-    candidate_engine: str = "vectorized",
     adversaries: Sequence[str] = ("uniform", "community"),
 ) -> ExperimentReport:
     """E23 — the trial-vectorized engine is metric-identical to reference.
 
     Runs the paper's three main algorithms (Waiting, Gathering, Waiting
     Greedy) under each adversary family through a reference-engine sweep
-    (one reference executor per trial) and through one ``engine``
+    (one reference executor per trial) and through one vectorized engine
     invocation per cell, asserts the
     :class:`~repro.sim.metrics.TrialMetrics` are equal trial for trial,
     and reports the measured wall-clock ratio.  The verdict is *equality
@@ -340,7 +339,7 @@ def run_vectorized_engine_check(
             started = _obs_now()
             vectorized = sweep_adversary_batched(
                 factory, ns=[n], trials=trials, master_seed=master_seed,
-                experiment="vector_check", engine=candidate_engine,
+                experiment="vector_check", engine="vectorized",
                 adversary=adversary,
             )
             engine_seconds = _obs_now() - started
@@ -361,7 +360,7 @@ def run_vectorized_engine_check(
     table.add_note(
         "identical means equal TrialMetrics trial for trial (terminated, "
         "duration, transmissions, coverage), seed for seed; kernel-less "
-        "algorithms would fall back to the fast engine transparently"
+        "algorithms would fall back to the reference engine transparently"
     )
     return ExperimentReport(
         experiment_id="E23",
@@ -369,5 +368,5 @@ def run_vectorized_engine_check(
         "reference engine's sweep metrics exactly, cell for cell",
         tables=[table],
         verdict=all_identical,
-        details={"speedups": speedups, "engine": candidate_engine},
+        details={"speedups": speedups, "engine": "vectorized"},
     )

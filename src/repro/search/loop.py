@@ -38,7 +38,7 @@ import numpy as np
 from ..adversaries.mobility import TraceReplayAdversary
 from ..campaign.spec import algorithm_factory_for
 from ..core.data import NodeId
-from ..core.fast_execution import BatchTrial
+from ..core.vector_execution import BatchTrial
 from ..obs import current_collector
 from ..obs import now as _obs_now
 from ..sim.metrics import TrialMetrics
@@ -80,7 +80,7 @@ class SearchEngineFallbackError(RuntimeError):
     The search requires every candidate of a generation to be scored by the
     same engine path; a fallback means the configuration (algorithm shape,
     knowledge oracle) is not vectorizable and the search must be run with
-    ``engine="fast"`` explicitly instead of silently downgrading.
+    ``engine="reference"`` explicitly instead of silently downgrading.
     """
 
 
@@ -234,8 +234,8 @@ def score_schedules(
             capture_opt=True,
         )
         results = executor.run_many(trials)
-        fallbacks = getattr(executor, "last_fallbacks", ())
-        if fallbacks and config.engine == "vectorized":
+        fallbacks = executor.last_fallbacks
+        if fallbacks:
             reasons = sorted({record.reason for record in fallbacks})
             raise SearchEngineFallbackError(
                 f"vectorized engine fell back for {len(fallbacks)} of "

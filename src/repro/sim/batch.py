@@ -2,12 +2,11 @@
 
 A sweep is a list of cells.  A cell is all trials (or a contiguous range
 of trial indices) of one algorithm at one ``n``, run through **one engine
-invocation**: a single batch-capable executor
-(:class:`~repro.core.fast_execution.FastExecutor` or the trial-vectorized
-:class:`~repro.core.vector_execution.VectorizedExecutor`) is constructed
+invocation**: a single trial-vectorized
+:class:`~repro.core.vector_execution.VectorizedExecutor` is constructed
 per cell and its ``run_many`` executes every trial, sharing the dense
-node-index map, canonical-rank precomputation and — for the vectorized
-engine — the whole struct-of-arrays lockstep across trials.  With
+node-index map, canonical-rank precomputation and the whole
+struct-of-arrays lockstep across trials.  With
 ``engine="reference"`` the cell runs one reference executor per trial
 instead, which makes it the oracle side of the differential tests.
 
@@ -37,8 +36,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.algorithm import DODAAlgorithm
 from ..core.data import NodeId
-from ..core.fast_execution import BatchTrial, FastExecutor
-from ..core.vector_execution import EngineFallback, EngineFallbackWarning
+from ..core.vector_execution import (
+    BatchTrial,
+    EngineFallback,
+    EngineFallbackWarning,
+)
 from ..obs import current_collector
 from .metrics import TrialMetrics
 from .parallel import run_sweep_cells
@@ -77,18 +79,18 @@ def run_sweep_cell(
     trial indices, so a sweep can split one ``n`` over several workers.
     Seeds, horizons, adversaries and knowledge oracles are derived exactly
     as in :func:`repro.sim.runner.run_sweep_trial`, so the returned metrics
-    are identical to the per-trial path.  ``engine="fast"`` routes the cell
-    through :meth:`FastExecutor.run_many`, ``engine="vectorized"`` through
-    the struct-of-arrays lockstep of :meth:`~repro.core.vector_execution.
-    VectorizedExecutor.run_many` — every registered algorithm has a decision
-    kernel, so a trial leaves the lockstep only for the exceptional shapes
-    listed in :mod:`repro.core.vector_execution`; when that happens the cell
-    emits one :class:`EngineFallbackWarning` and tags the affected trials'
+    are identical to the per-trial path.  ``engine="vectorized"`` routes
+    the cell through the struct-of-arrays lockstep of
+    :meth:`~repro.core.vector_execution.VectorizedExecutor.run_many` —
+    every registered algorithm has a decision kernel, so a trial leaves the
+    lockstep only for the exceptional shapes listed in
+    :mod:`repro.core.vector_execution`; when that happens the cell emits
+    one :class:`EngineFallbackWarning` and tags the affected trials'
     metrics with ``extra["engine_fallback"]`` (the reason string).
     ``engine="reference"`` runs one reference executor per trial (the
     semantics oracle for differential tests of this very function).
-    ``block_size`` tunes the batched engines' committed
-    window (None keeps each engine's default).  ``capture_opt=True``
+    ``block_size`` tunes the vectorized engine's committed window (None
+    keeps its default).  ``capture_opt=True``
     additionally evaluates the offline-optimum baseline per trial (the
     vectorized engine does so for the whole cell in one batched kernel
     call), filling the metrics' ``opt_cost``/``competitive_ratio`` fields
@@ -161,12 +163,12 @@ def _run_cell(
         source = committed if committed is not None else adversary_obj
         return algorithm, knowledge, source, horizon, seed
 
-    # Trials are prepared lazily — under the fast engine each committed
-    # future (and any horizon-length committed prefix a knowledge oracle
-    # pre-draws) is only alive while its trial runs, matching the serial
-    # path's peak memory.  The vectorized engine materialises the whole
-    # cell (its lockstep consumes all committed futures side by side), so
-    # its peak memory grows with ``trials`` — by design.
+    # Under the reference engine trials are prepared lazily, so each
+    # committed future (and any horizon-length committed prefix a knowledge
+    # oracle pre-draws) is only alive while its trial runs.  The vectorized
+    # engine materialises the whole cell (its lockstep consumes all
+    # committed futures side by side), so its peak memory grows with
+    # ``trials`` — by design.
     meta: List[Tuple[str, int, int]] = []
 
     def record(algorithm, horizon, seed):
@@ -196,13 +198,11 @@ def _run_cell(
                 )
 
         results = cell_executor.run_many(batch_trials())
-        fallbacks: Tuple[EngineFallback, ...] = getattr(
-            cell_executor, "last_fallbacks", ()
-        )
+        fallbacks: Tuple[EngineFallback, ...] = cell_executor.last_fallbacks
         if fallbacks:
             reasons = sorted({record.reason for record in fallbacks})
             warnings.warn(
-                f"vectorized engine fell back to the fast engine for "
+                f"vectorized engine fell back to the reference engine for "
                 f"{len(fallbacks)} of {len(trials)} trials of cell "
                 f"(algorithm={meta[0][0]!r}, n={n}): {'; '.join(reasons)}",
                 EngineFallbackWarning,

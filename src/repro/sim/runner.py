@@ -28,7 +28,6 @@ from ..core.algorithm import (
 )
 from ..core.data import NodeId
 from ..core.execution import ExecutionResult, Executor
-from ..core.fast_execution import FastExecutor
 from ..core.interaction import InteractionSequence
 from ..core.vector_execution import VectorizedExecutor
 from ..knowledge import (
@@ -45,17 +44,15 @@ from .seeding import derive_seed
 
 AlgorithmFactory = Callable[[int], DODAAlgorithm]
 
-#: The three interchangeable execution engines.  ``reference`` is the
-#: semantics oracle (:class:`~repro.core.execution.Executor`); ``fast`` is
-#: the per-trial optimised engine (:class:`~repro.core.fast_execution.
-#: FastExecutor`); ``vectorized`` is the trial-vectorized engine
+#: The two interchangeable execution engines.  ``reference`` is the
+#: semantics oracle (:class:`~repro.core.execution.Executor`);
+#: ``vectorized`` is the trial-vectorized engine
 #: (:class:`~repro.core.vector_execution.VectorizedExecutor`), which runs
-#: whole sweep cells as numpy struct-of-arrays and falls back to the fast
-#: engine per trial whenever an algorithm has no decision kernel.  All
-#: three produce identical results seed for seed.
+#: whole sweep cells as numpy struct-of-arrays and falls back to the
+#: reference engine per trial for the few shapes its kernels cannot
+#: mirror.  Both produce identical results seed for seed.
 ENGINES = {
     "reference": Executor,
-    "fast": FastExecutor,
     "vectorized": VectorizedExecutor,
 }
 
@@ -178,8 +175,8 @@ def execute_random_trial(
     """Run one committed-adversary trial and return the raw execution result.
 
     This is the differential-testing entry point: for a given ``(algorithm,
-    n, seed, horizon, adversary)`` the ``reference`` and ``fast`` engines
-    must return equal :class:`~repro.core.execution.ExecutionResult`
+    n, seed, horizon, adversary)`` the ``reference`` and ``vectorized``
+    engines must return equal :class:`~repro.core.execution.ExecutionResult`
     objects, including the transmission log.  ``adversary`` names a family
     from :data:`repro.adversaries.factory.ADVERSARY_FAMILIES` (uniform,
     zipf, hub, waypoint, community).  ``capture_opt=True`` additionally
@@ -231,8 +228,8 @@ def run_random_trial(
         horizon: interaction budget; defaults to :func:`default_horizon`.
         sink: sink node identifier.
         extra: extra key/values recorded in the metrics.
-        engine: ``"reference"`` or ``"fast"``; both produce identical
-            metrics, the fast engine just gets there sooner.
+        engine: ``"reference"`` or ``"vectorized"``; both produce
+            identical metrics.
         adversary: adversary family name (default the paper's uniform
             randomized adversary).
         adversary_params: family-specific parameter overrides.

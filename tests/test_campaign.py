@@ -31,7 +31,7 @@ def small_spec(**overrides):
         adversaries=("uniform",),
         ns=(8,),
         trials=2,
-        engine="fast",
+        engine="vectorized",
     )
     kwargs.update(overrides)
     return CampaignSpec(**kwargs)
@@ -45,6 +45,8 @@ class TestCampaignSpec:
             small_spec(adversaries=("rush_hour",))
         with pytest.raises(CampaignSpecError, match="unknown engine"):
             small_spec(engine="warp")
+        with pytest.raises(CampaignSpecError, match="unknown engine"):
+            small_spec().with_engine("warp")
         with pytest.raises(CampaignSpecError, match="n must be >= 2"):
             small_spec(ns=(1,))
         with pytest.raises(CampaignSpecError, match="trials"):
@@ -55,6 +57,21 @@ class TestCampaignSpec:
             small_spec(block_size=0)
         with pytest.raises(CampaignSpecError, match="unknown family"):
             small_spec(adversary_params={"rush_hour": {}})
+
+    def test_removed_fast_engine_names_its_replacement(self):
+        for build in (
+            lambda: small_spec(engine="fast"),
+            lambda: small_spec().with_engine("fast"),
+            lambda: spec_from_dict(
+                {"name": "x", "algorithms": ["gathering"], "ns": [8],
+                 "engine": "fast"}
+            ),
+        ):
+            with pytest.raises(CampaignSpecError) as excinfo:
+                build()
+            message = str(excinfo.value)
+            assert "\n" not in message
+            assert "removed" in message and "vectorized" in message
 
     def test_hash_covers_result_fields_only(self):
         base = small_spec()
@@ -119,13 +136,13 @@ class TestSpecLoading:
         toml_path = tmp_path / "c.toml"
         toml_path.write_text(
             'name = "c"\nalgorithms = ["gathering"]\nns = [8, 10]\n'
-            'trials = 2\nengine = "fast"\n'
+            'trials = 2\nengine = "reference"\n'
             '[adversary_params.zipf]\nexponent = 1.5\n'
         )
         json_path = tmp_path / "c.json"
         json_path.write_text(json.dumps({
             "name": "c", "algorithms": ["gathering"], "ns": [8, 10],
-            "trials": 2, "engine": "fast",
+            "trials": 2, "engine": "reference",
             "adversary_params": {"zipf": {"exponent": 1.5}},
         }))
         toml_spec = load_campaign_spec(toml_path)
@@ -211,11 +228,11 @@ class TestStore:
         import repro
 
         store_dir = tmp_path / "store"
-        run_campaign(small_spec(), store_dir)
+        run_campaign(small_spec(engine="reference"), store_dir)
         manifest = CampaignStore(store_dir).read_manifest()
         assert manifest["repro_version"] == repro.__version__
         entry = next(iter(manifest["cells"].values()))
-        assert entry["engine"] == "fast"
+        assert entry["engine"] == "reference"
         assert entry["records"] == 2
 
 
@@ -228,6 +245,28 @@ class TestReport:
         assert report.complete_cells == 1 and report.total_cells == 2
         assert any("not aggregated" in note for note in report.notes)
         assert "campaign run" in report.to_markdown()
+
+    def test_store_written_under_removed_fast_engine_still_reads(
+        self, tmp_path, capsys
+    ):
+        # Stores written before the fast engine was removed echo
+        # engine = "fast" in their manifest.  The engine is outside the
+        # spec hash and decides no result, so status and report still work.
+        store_dir = tmp_path / "store"
+        run_campaign(small_spec(ns=(8, 10)), store_dir)
+        expected = build_campaign_report(store_dir).to_markdown()
+        manifest_path = CampaignStore(store_dir).manifest_path
+        manifest = json.loads(manifest_path.read_text())
+        manifest["spec"]["engine"] = "fast"
+        for entry in manifest["cells"].values():
+            entry["engine"] = "fast"
+        manifest_path.write_text(json.dumps(manifest))
+        assert build_campaign_report(store_dir).to_markdown() == expected
+        assert "complete=2 pending=0 corrupt=0" in campaign_status(store_dir)
+        assert main(["campaign", "status", str(store_dir)]) == 0
+        assert "complete=2" in capsys.readouterr().out
+        assert main(["campaign", "report", str(store_dir)]) == 0
+        assert "interactions to termination" in capsys.readouterr().out
 
     def test_figures_gracefully_skip_without_matplotlib(self, tmp_path):
         store_dir = tmp_path / "store"
@@ -280,6 +319,21 @@ class TestCampaignCLI:
         assert (tmp_path / "campaigns" / "defaulted").is_dir()
         assert main(["campaign", "status", str(spec_path)]) == 0
         assert "defaulted" in capsys.readouterr().out
+
+    def test_spec_naming_removed_fast_engine_is_one_clear_error(
+        self, tmp_path, capsys
+    ):
+        spec_path = tmp_path / "c.toml"
+        spec_path.write_text(
+            'name = "cli"\nalgorithms = ["gathering"]\nns = [8]\n'
+            'engine = "fast"\n'
+        )
+        assert main(["campaign", "run", str(spec_path),
+                     "--store", str(tmp_path / "store")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "removed" in err and "vectorized" in err
+        assert "Traceback" not in err
 
     def test_clear_cli_errors(self, tmp_path, capsys):
         # Campaign CLI failures exit 2 with one clear stderr line — no

@@ -8,11 +8,17 @@ from repro.cli import build_parser, main
 
 class TestPackageSurface:
     def test_version(self):
-        assert repro.__version__ == "1.5.0"
+        assert repro.__version__ == "1.6.0"
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_removed_fast_engine_is_not_exported(self):
+        import repro.core
+
+        for package in (repro, repro.core):
+            assert not [name for name in dir(package) if name.startswith("Fast")]
 
     def test_paper_algorithms_exposed(self):
         assert repro.Gathering().name == "gathering"
@@ -72,15 +78,14 @@ class TestSweepCLI:
         assert "gathering: interactions to termination" in output
         assert "| 8 |" in output and "| 10 |" in output
 
-    def test_sweep_fast_engine_matches_reference(self, capsys):
-        assert main(["sweep", "gathering", "--ns", "9", "--trials", "3",
-                     "--engine", "reference"]) == 0
-        reference = capsys.readouterr().out
-        assert (
-            main(["sweep", "gathering", "--ns", "9", "--trials", "3",
-                  "--engine", "fast"]) == 0
-        )
-        assert capsys.readouterr().out == reference
+    def test_sweep_rejects_removed_fast_engine(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "gathering", "--ns", "9", "--engine", "fast"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'fast'" in err
+        assert "'reference', 'vectorized'" in err
+        assert "Traceback" not in err
 
     def test_sweep_workers(self, capsys):
         assert main(["sweep", "gathering", "--ns", "8", "--trials", "2",
@@ -88,14 +93,14 @@ class TestSweepCLI:
         serial = capsys.readouterr().out
         assert (
             main(["sweep", "gathering", "--ns", "8", "--trials", "2",
-                  "--engine", "fast", "--workers", "2"]) == 0
+                  "--engine", "vectorized", "--workers", "2"]) == 0
         )
         assert capsys.readouterr().out == serial
 
     def test_sweep_mobility_adversary(self, capsys):
         assert (
             main(["sweep", "waiting", "--ns", "8", "--trials", "2",
-                  "--adversary", "community", "--engine", "fast"]) == 0
+                  "--adversary", "community", "--engine", "vectorized"]) == 0
         )
         assert "waiting" in capsys.readouterr().out
 
@@ -134,10 +139,10 @@ class TestSweepCLI:
 
     def test_trial_engine_flag(self, capsys):
         assert main(["trial", "gathering", "--n", "10", "--seed", "2",
-                     "--engine", "fast"]) == 0
-        fast = capsys.readouterr().out
+                     "--engine", "vectorized"]) == 0
+        vectorized = capsys.readouterr().out
         assert main(["trial", "gathering", "--n", "10", "--seed", "2"]) == 0
-        assert capsys.readouterr().out == fast
+        assert capsys.readouterr().out == vectorized
 
     def test_trial_adversary_flag(self, capsys):
         assert main(["trial", "gathering", "--n", "12", "--seed", "1",

@@ -1,18 +1,19 @@
-"""Differential tests: fast engine vs reference across adversary families.
+"""Differential tests: vectorized engine vs reference across adversary families.
 
-``tests/test_fast_execution.py`` pins engine equality for the uniform
+``tests/test_vector_execution.py`` pins engine equality for the uniform
 randomized adversary; this suite extends the differential to every other
 committed family — the non-uniform (Zipf/hub) adversary and the mobility
 adversaries (random waypoint, community, trace replay) — across all
 registered algorithms, multiple seeds and instance shapes, plus the sweep
 cell with a non-uniform adversary selected (the sweep over every family,
 engine and ``workers`` value lives in ``tests/test_sweep_determinism.py``).
-Both
-optimised engines (``fast`` and trial-``vectorized``) are differential
-against the reference executor.
+The trial-``vectorized`` engine, in its default and its small-block
+configuration (``tests/engine_variants.py``), is differential against the
+reference executor.
 """
 
 import pytest
+from engine_variants import CANDIDATE_ENGINES, use_engine
 
 from repro.adversaries import (
     CommunityAdversary,
@@ -25,7 +26,7 @@ from repro.algorithms.waiting import Waiting
 from repro.algorithms.waiting_greedy import optimal_tau
 from repro.core.algorithm import registry
 from repro.core.execution import Executor
-from repro.core.fast_execution import FastExecutor
+from repro.core.vector_execution import VectorizedExecutor
 from repro.graph.traces import BodyAreaNetworkTrace, VehicularGridTrace
 from repro.sim.batch import run_sweep_cell, sweep_adversary_batched
 from repro.sim.runner import execute_random_trial, run_sweep_trial
@@ -53,10 +54,11 @@ def make_algorithm(name: str, n: int):
 class TestAllAlgorithmsAllFamilies:
     """The full registry against every committed family, both engines."""
 
-    @pytest.mark.parametrize("engine", ("fast", "vectorized"))
+    @pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("name", sorted(registry.names()))
-    def test_engines_agree(self, family, name, engine):
+    def test_engines_agree(self, family, name, engine, monkeypatch):
+        use_engine(engine, monkeypatch)
         for seed in SEEDS:
             reference, _ = execute_random_trial(
                 make_algorithm(name, N), N, seed,
@@ -78,10 +80,11 @@ class TestKnowledgeHeavyAlgorithms:
     reference engine on every committed family and on trace replay.
     """
 
-    @pytest.mark.parametrize("engine", ("fast", "vectorized"))
+    @pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
     @pytest.mark.parametrize("family", ("uniform",) + FAMILIES)
     @pytest.mark.parametrize("name", KNOWLEDGE_HEAVY)
-    def test_engines_agree(self, name, family, engine):
+    def test_engines_agree(self, name, family, engine, monkeypatch):
+        use_engine(engine, monkeypatch)
         for seed in SEEDS:
             reference, _ = execute_random_trial(
                 make_algorithm(name, N), N, seed,
@@ -95,7 +98,6 @@ class TestKnowledgeHeavyAlgorithms:
 
     @pytest.mark.parametrize("name", KNOWLEDGE_HEAVY)
     def test_trace_replay(self, name):
-        from repro.core.vector_execution import VectorizedExecutor
         from repro.sim.runner import build_knowledge_for_random_run
 
         trace = VehicularGridTrace(
@@ -114,9 +116,7 @@ class TestKnowledgeHeavyAlgorithms:
                 nodes, trace.sink, algorithm, knowledge=knowledge
             ).run(source, max_interactions=trace.length)
 
-        reference = run(Executor)
-        assert run(FastExecutor) == reference
-        assert run(VectorizedExecutor) == reference
+        assert run(VectorizedExecutor) == run(Executor)
 
 
 class TestShapes:
@@ -128,20 +128,20 @@ class TestShapes:
         reference, _ = execute_random_trial(
             Gathering(), n, seed=7, engine="reference", adversary=family
         )
-        fast, _ = execute_random_trial(
-            Gathering(), n, seed=7, engine="fast", adversary=family
+        vectorized, _ = execute_random_trial(
+            Gathering(), n, seed=7, engine="vectorized", adversary=family
         )
-        assert fast == reference
+        assert vectorized == reference
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_non_default_sink(self, family):
         reference, _ = execute_random_trial(
             Waiting(), 10, seed=3, sink=4, engine="reference", adversary=family
         )
-        fast, _ = execute_random_trial(
-            Waiting(), 10, seed=3, sink=4, engine="fast", adversary=family
+        vectorized, _ = execute_random_trial(
+            Waiting(), 10, seed=3, sink=4, engine="vectorized", adversary=family
         )
-        assert fast == reference
+        assert vectorized == reference
 
 
 class TestMobilityAdversaryCommitment:
@@ -214,13 +214,13 @@ class TestTraceReplayDifferential:
             reference = Executor(nodes, trace.sink, algorithm_cls()).run(
                 TraceReplayAdversary(trace), max_interactions=trace.length
             )
-            fast = FastExecutor(nodes, trace.sink, algorithm_cls()).run(
-                TraceReplayAdversary(trace), max_interactions=trace.length
-            )
+            vectorized = VectorizedExecutor(
+                nodes, trace.sink, algorithm_cls()
+            ).run(TraceReplayAdversary(trace), max_interactions=trace.length)
             direct = Executor(nodes, trace.sink, algorithm_cls()).run(
                 trace.sequence
             )
-            assert fast == reference == direct
+            assert vectorized == reference == direct
 
     def test_replay_is_exact_and_exhausts(self):
         trace = VehicularGridTrace(
@@ -245,7 +245,7 @@ class TestSweepPathEquivalence:
 
         factory = lambda n: WaitingGreedy(tau=optimal_tau(n))
         cell = run_sweep_cell(
-            factory, 10, 3, master_seed=5, engine="fast",
+            factory, 10, 3, master_seed=5, engine="vectorized",
             adversary="waypoint",
         )
         assert cell == [

@@ -130,6 +130,16 @@ class TestCLIHelp:
             help_text.split()
         )
 
+    def test_engine_help_names_the_two_engines(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--engine {reference,vectorized}" in help_text
+        assert "fall back to the reference engine" in help_text
+        assert "both produce identical results seed for seed" in help_text
+
     def test_campaign_run_help_mentions_resume_and_engine(self, capsys):
         from repro.cli import main
 

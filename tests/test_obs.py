@@ -20,6 +20,7 @@ import math
 import pickle
 
 import pytest
+from engine_variants import CANDIDATE_ENGINES, use_engine
 
 from repro.campaign import CampaignSpec, CampaignStore, campaign_status, run_campaign
 from repro.obs import (
@@ -44,7 +45,7 @@ from repro.sim.batch import run_sweep_cell
 
 def record_something(collector):
     """Emit one span (with a late-bound arg), one counter, one event."""
-    with collector.span("phase.outer", engine="fast") as span:
+    with collector.span("phase.outer", engine="vectorized") as span:
         span.set(trials=3)
         collector.counter("phase.items", 7)
     collector.event("phase.marker", reason="test")
@@ -82,7 +83,7 @@ class TestCollectors:
         record_something(recording)
         (span,) = recording.spans
         assert span.name == "phase.outer"
-        assert dict(span.args) == {"engine": "fast", "trials": 3}
+        assert dict(span.args) == {"engine": "vectorized", "trials": 3}
         assert span.end >= span.start and span.duration >= 0
         (counter,) = recording.counters
         assert counter.name == "phase.items" and counter.value == 7.0
@@ -193,21 +194,21 @@ class TestTelemetrySidecar:
         path = tmp_path / "telemetry.jsonl"
         writer = TelemetryWriter(path)
         writer.cell("a/b/n=8", elapsed_seconds=2.0, trials=10, fallbacks=1,
-                    engine="fast")
+                    engine="vectorized")
         writer.skip("a/b/n=16")
         writer.run(elapsed_seconds=2.5, cells=1, skipped=1)
         records = read_telemetry(path)
         assert [record["type"] for record in records] == ["cell", "skip", "run"]
         cell = records[0]
         assert cell["trials_per_second"] == pytest.approx(5.0)
-        assert cell["fallbacks"] == 1 and cell["engine"] == "fast"
+        assert cell["fallbacks"] == 1 and cell["engine"] == "vectorized"
         assert all("ts" in record for record in records)
         assert summarize_run(records)["cells"] == 1
 
     def test_zero_elapsed_does_not_divide(self, tmp_path):
         writer = TelemetryWriter(tmp_path / "t.jsonl")
         writer.cell("c", elapsed_seconds=0.0, trials=5, fallbacks=0,
-                    engine="fast")
+                    engine="vectorized")
         (record,) = read_telemetry(writer.path)
         assert record["trials_per_second"] == 0.0
 
@@ -226,9 +227,9 @@ class TestTelemetrySidecar:
     def test_latest_cell_record_wins(self, tmp_path):
         writer = TelemetryWriter(tmp_path / "t.jsonl")
         writer.cell("c", elapsed_seconds=1.0, trials=1, fallbacks=0,
-                    engine="fast")
+                    engine="vectorized")
         writer.cell("c", elapsed_seconds=2.0, trials=2, fallbacks=0,
-                    engine="fast")
+                    engine="vectorized")
         latest = latest_cell_records(read_telemetry(writer.path))
         assert latest["c"]["trials"] == 2
 
@@ -250,9 +251,9 @@ def traced_cell(engine, **kwargs):
 
 
 class TestEngineInstrumentation:
-    @pytest.mark.parametrize("engine", ["fast", "vectorized"])
-    def test_cell_and_engine_spans_emitted(self, engine):
-        metrics, collector = traced_cell(engine)
+    @pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
+    def test_cell_and_engine_spans_emitted(self, engine, monkeypatch):
+        metrics, collector = traced_cell(use_engine(engine, monkeypatch))
         names = [span.name for span in collector.spans]
         assert "sweep.cell" in names
         assert "engine.run_many" in names
@@ -260,7 +261,7 @@ class TestEngineInstrumentation:
             span for span in collector.spans if span.name == "engine.run_many"
         )
         args = dict(run_many.args)
-        assert args["engine"] == engine
+        assert args["engine"] == "vectorized"
         assert args["trials"] == 4 and args.get("fallbacks", 0) == 0
         cell = next(span for span in collector.spans if span.name == "sweep.cell")
         assert dict(cell.args)["algorithm"] == "gathering"
@@ -302,22 +303,30 @@ class TestEngineInstrumentation:
         ]
         assert len(fallback_events) == 4  # one per downgraded trial
         assert "no decision kernel" in dict(fallback_events[0].args)["reason"]
-        # The downgraded trials run through an inner FastExecutor, which
-        # records its own engine.run_many span — pick the vectorized one.
-        run_many = next(
-            span for span in collector.spans
-            if span.name == "engine.run_many"
-            and dict(span.args)["engine"] == "vectorized"
+        # The downgraded trials run one by one on the reference engine,
+        # which records one engine.run span per trial.
+        reference_runs = [
+            span for span in collector.spans if span.name == "engine.run"
+        ]
+        assert len(reference_runs) == 4
+        assert all(
+            dict(span.args)["engine"] == "reference" for span in reference_runs
         )
+        (run_many,) = [
+            span for span in collector.spans if span.name == "engine.run_many"
+        ]
         assert dict(run_many.args)["fallbacks"] == 4
         cell = next(span for span in collector.spans if span.name == "sweep.cell")
         assert dict(cell.args)["fallbacks"] == 4
 
     @pytest.mark.parametrize("capture_opt", [False, True])
-    @pytest.mark.parametrize("engine", ["fast", "vectorized"])
-    def test_tracing_does_not_change_metrics(self, engine, capture_opt):
+    @pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
+    def test_tracing_does_not_change_metrics(
+        self, engine, capture_opt, monkeypatch
+    ):
         from repro.algorithms.gathering import Gathering
 
+        use_engine(engine, monkeypatch)
         untraced = run_sweep_cell(
             lambda n: Gathering(), n=12, trials=4, master_seed=5,
             engine=engine, capture_opt=capture_opt,
@@ -331,10 +340,10 @@ class TestEngineInstrumentation:
         if not capture_opt:
             assert swept == []
             return
-        # One counter per opt-kernel call (per trial on the fast engine,
-        # per lockstep batch on the vectorized one).  The sweep stops at
-        # each row's opt, so it reads exactly opt_cost interactions.
-        assert len(swept) == (4 if engine == "fast" else 1)
+        # One counter per opt-kernel call: one per lockstep batch.  The
+        # sweep stops at each row's opt, so it reads exactly opt_cost
+        # interactions.
+        assert len(swept) == 1
         assert all(math.isfinite(m.opt_cost) for m in traced)
         assert sum(swept) == sum(m.opt_cost for m in traced)
 
@@ -346,7 +355,7 @@ def campaign_spec(**overrides):
         adversaries=("uniform",),
         ns=(8, 10),
         trials=2,
-        engine="fast",
+        engine="vectorized",
     )
     kwargs.update(overrides)
     return CampaignSpec(**kwargs)

@@ -2,9 +2,9 @@
 
 Each case derives a random ``(adversary family, algorithm, n, sink, seed)``
 combination from a case seed, runs it through the engine under test (the
-whole class is parametrized over the fast AND the trial-vectorized
-engines), and asserts the invariants every result in the repository builds
-on:
+whole class runs on the trial-vectorized engine, in its default and its
+small-block configuration), and asserts the invariants every result in
+the repository builds on:
 
 * **data conservation** — replaying the transmission log as a coverage
   algebra never loses or duplicates an origin: the surviving owners'
@@ -26,11 +26,11 @@ also one more differential data point.
 import random
 
 import pytest
+from engine_variants import SmallBlockVectorizedExecutor
 
 from repro.adversaries.factory import ADVERSARY_FAMILIES, make_adversary
 from repro.core.algorithm import registry
 from repro.core.execution import Executor
-from repro.core.fast_execution import FastExecutor
 from repro.core.vector_execution import VectorizedExecutor
 from repro.sim.runner import build_knowledge_for_random_run, default_horizon
 
@@ -59,7 +59,7 @@ def make_algorithm(name: str, n: int):
     return registry.create(name, **kwargs)
 
 
-def run_case(case_seed: int, engine_cls=FastExecutor):
+def run_case(case_seed: int, engine_cls=VectorizedExecutor):
     family, name, n, sink, seed = derive_case(case_seed)
     nodes = list(range(n))
     algorithm = make_algorithm(name, n)
@@ -80,8 +80,8 @@ def run_case(case_seed: int, engine_cls=FastExecutor):
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "engine_cls", (FastExecutor, VectorizedExecutor),
-    ids=("fast", "vectorized"),
+    "engine_cls", (VectorizedExecutor, SmallBlockVectorizedExecutor),
+    ids=("vectorized", "vectorized-small-blocks"),
 )
 @pytest.mark.parametrize("case_seed", range(CASE_COUNT))
 class TestEngineInvariants:

@@ -22,6 +22,7 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from engine_variants import CANDIDATE_ENGINES, use_engine
 from strategies import common_settings, interaction_sequences
 
 from repro.algorithms.gathering import Gathering
@@ -196,11 +197,11 @@ def test_cost_at_least_one_and_one_iff_optimal(data):
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast", "vectorized"])
+@pytest.mark.parametrize("engine", ("reference",) + CANDIDATE_ENGINES)
 @pytest.mark.parametrize(
     "adversary", ["uniform", "zipf", "hub", "waypoint", "community"]
 )
-def test_competitive_ratio_at_least_one(engine, adversary):
+def test_competitive_ratio_at_least_one(engine, adversary, monkeypatch):
     """A captured ratio is >= 1 *exactly* whenever the trial terminated.
 
     The offline optimum is a true optimum on the consumed window, so the
@@ -210,6 +211,7 @@ def test_competitive_ratio_at_least_one(engine, adversary):
     from repro.algorithms.gathering import Gathering
     from repro.sim.runner import run_random_trial
 
+    use_engine(engine, monkeypatch)
     for seed in range(4):
         metrics = run_random_trial(
             Gathering(), 12, seed, engine=engine, adversary=adversary,
@@ -227,11 +229,11 @@ def test_competitive_ratio_at_least_one(engine, adversary):
             assert metrics.competitive_ratio == math.inf
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast", "vectorized"])
+@pytest.mark.parametrize("engine", ("reference",) + CANDIDATE_ENGINES)
 @pytest.mark.parametrize(
     "name", ["spanning_tree", "full_knowledge", "future_broadcast"]
 )
-def test_competitive_ratio_knowledge_algorithms(engine, name):
+def test_competitive_ratio_knowledge_algorithms(engine, name, monkeypatch):
     """Ratio >= 1 holds for the knowledge-heavy algorithms on every engine.
 
     These three run trial-vectorized through their own decision kernels
@@ -242,6 +244,7 @@ def test_competitive_ratio_knowledge_algorithms(engine, name):
     from repro.core.algorithm import registry
     from repro.sim.runner import run_random_trial
 
+    use_engine(engine, monkeypatch)
     for seed in range(3):
         metrics = run_random_trial(
             registry.create(name), 12, seed, engine=engine,
@@ -281,12 +284,12 @@ def test_ratio_kernel_opt_matches_oracle(data):
 @common_settings
 @given(data=interaction_sequences())
 def test_terminated_run_ratio_bounded_below_by_one(data):
-    from repro.core.fast_execution import FastExecutor
+    from repro.core.vector_execution import VectorizedExecutor
     from repro.ratio.semantics import competitive_ratio
 
     n, sequence = data
     nodes = list(range(n))
-    executor = FastExecutor(nodes, 0, Gathering(), capture_opt=True)
+    executor = VectorizedExecutor(nodes, 0, Gathering(), capture_opt=True)
     result = executor.run(sequence)
     assert result.opt_cost is not None
     if result.terminated:

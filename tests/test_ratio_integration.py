@@ -3,7 +3,7 @@
 Extends the differential suites to the ratio vertical:
 
 * per-trial ``opt_cost`` / ``competitive_ratio`` are byte-identical across
-  the reference/fast/vectorized engines (the sweep-level check over every
+  the reference and vectorized engines (the sweep-level check over every
   engine and ``workers`` value lives in ``tests/test_sweep_determinism.py``);
 * ratio campaigns persist the capture into shards, round-trip it through
   :func:`~repro.campaign.store.record_to_metrics`, keep pre-ratio spec
@@ -36,7 +36,7 @@ from repro.sim.batch import run_sweep_cell, sweep_adversary_batched
 from repro.sim.runner import run_random_trial
 
 
-ENGINES = ("reference", "fast", "vectorized")
+ENGINES = ("reference", "vectorized")
 
 
 class TestEngineAndPathIdentity:
@@ -58,26 +58,36 @@ class TestEngineAndPathIdentity:
                 assert other == first  # includes opt_cost and ratio
 
     def test_vectorized_fallback_algorithm_captures_too(self):
-        # spanning_tree has no decision kernel: the vectorized engine falls
-        # back to the fast engine, which must still capture the baseline.
-        from repro.algorithms.spanning_tree import SpanningTreeAggregation
+        # An algorithm without a decision kernel makes the vectorized
+        # engine fall back to the reference engine, which must still
+        # capture the baseline.
+        from repro.adversaries.randomized import RandomizedAdversary
+        from repro.core.execution import Executor
+        from repro.core.vector_execution import VectorizedExecutor
 
-        per_engine = [
-            run_random_trial(
-                SpanningTreeAggregation(), 10, 2, engine=engine,
-                capture_opt=True,
+        class Unregistered(Gathering):
+            name = "unregistered_probe"
+
+        nodes = list(range(10))
+        per_engine = []
+        for engine_cls in (Executor, VectorizedExecutor):
+            executor = engine_cls(
+                nodes, 0, Unregistered(), capture_opt=True
             )
-            for engine in ENGINES
-        ]
+            per_engine.append(
+                executor.run(
+                    RandomizedAdversary(nodes, seed=2), max_interactions=4000
+                )
+            )
+        assert executor.last_fallback_count == 1
         assert per_engine[0].opt_cost is not None
         assert per_engine[1] == per_engine[0]
-        assert per_engine[2] == per_engine[0]
 
     def test_capture_off_leaves_metrics_unchanged(self):
-        plain = run_random_trial(Gathering(), 10, 3, engine="fast")
+        plain = run_random_trial(Gathering(), 10, 3, engine="vectorized")
         assert plain.opt_cost is None and plain.competitive_ratio is None
         captured = run_random_trial(
-            Gathering(), 10, 3, engine="fast", capture_opt=True
+            Gathering(), 10, 3, engine="vectorized", capture_opt=True
         )
         assert captured.duration == plain.duration
         assert captured.transmissions == plain.transmissions
@@ -157,7 +167,7 @@ class TestRatioCampaigns:
         spec = ratio_spec()
         run_campaign(spec, tmp_path / "fresh")
         run_campaign(spec, tmp_path / "resumed", max_cells=1)
-        run_campaign(spec, tmp_path / "resumed", engine="fast")
+        run_campaign(spec, tmp_path / "resumed", engine="reference")
         fresh = CampaignStore(tmp_path / "fresh")
         resumed = CampaignStore(tmp_path / "resumed")
         for cell in spec.cells():

@@ -4,8 +4,8 @@ Two families of guarantees:
 
 * **Golden corpus** (``tests/data/worst_cases/``): every checked-in
   instance replays its stored competitive ratio *exactly* on the
-  reference engine (and, in the search-marked suite, on all three
-  engines), and re-running the search with the recorded seed and budget
+  reference engine (and, in the search-marked suite, on the vectorized
+  engine in its default and small-block configurations), and re-running the search with the recorded seed and budget
   re-finds a ratio at least as hard as the stored one.
 * **Store determinism**: the same search persisted twice produces
   byte-identical stores (manifest and instance files); different seeds
@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 
 import pytest
+from engine_variants import CANDIDATE_ENGINES, use_engine
 
 from repro.search import (
     SearchConfig,
@@ -64,8 +65,11 @@ class TestGoldenCorpus:
         assert metrics.transmissions == int(instance.metrics["transmissions"])
 
     @pytest.mark.parametrize("digest", golden_digests())
-    @pytest.mark.parametrize("engine", ["fast", "vectorized"])
-    def test_batched_engines_replay_identically(self, digest, engine):
+    @pytest.mark.parametrize("engine", CANDIDATE_ENGINES)
+    def test_batched_engines_replay_identically(
+        self, digest, engine, monkeypatch
+    ):
+        use_engine(engine, monkeypatch)
         instance = WorstCaseCorpus(GOLDEN_DIR).load(digest)
         metrics = replay_instance(instance, engine=engine)
         assert metrics.competitive_ratio == instance.competitive_ratio

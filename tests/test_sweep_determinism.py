@@ -4,12 +4,15 @@ Every sweep is a list of :func:`~repro.sim.batch.run_sweep_cell` cells,
 run in-process (``workers=1``) or over the one process pool of
 :func:`~repro.sim.parallel.run_sweep_cells`, with each ``n``'s trials
 split into one contiguous range per worker.  The contract pinned here:
-for every engine and every ``workers`` value, a sweep reproduces a plain :func:`~repro.sim.runner.run_sweep_trial`
-loop on the reference engine trial for trial — metrics, seeds, horizons
-and (with ``capture_opt``) the offline-optimum baseline included.
+for every engine (the vectorized one at its default and at a small
+``block_size``) and every ``workers`` value, a sweep reproduces a plain
+:func:`~repro.sim.runner.run_sweep_trial` loop on the reference engine
+trial for trial — metrics, seeds, horizons and (with ``capture_opt``) the
+offline-optimum baseline included.
 """
 
 import pytest
+from engine_variants import SMALL_BLOCK, SMALL_BLOCK_ENGINE
 
 from repro.algorithms.gathering import Gathering
 from repro.algorithms.waiting import Waiting
@@ -18,12 +21,29 @@ from repro.sim import batch
 from repro.sim.batch import run_sweep_cell, sweep_adversary_batched
 from repro.sim.runner import run_sweep_trial
 
-ENGINES = ("reference", "fast", "vectorized")
+#: ``(engine, block_size)`` configurations: the vectorized engine runs at
+#: its default window and at the small window that makes every trial cross
+#: lockstep block boundaries.
+ENGINES = (
+    ("reference", None),
+    ("vectorized", None),
+    ("vectorized", SMALL_BLOCK),
+)
 WORKERS = (1, 2, 3)
 FAMILIES = ("zipf", "hub", "waypoint", "community")
 
+
+def engine_id(engine, block_size):
+    return engine if block_size is None else SMALL_BLOCK_ENGINE
+
+
 every_engine_and_worker_count = pytest.mark.parametrize(
-    "engine,workers", [(e, w) for e in ENGINES for w in WORKERS]
+    "engine,block_size,workers",
+    [
+        pytest.param(e, b, w, id=f"{engine_id(e, b)}-{w}")
+        for e, b in ENGINES
+        for w in WORKERS
+    ],
 )
 
 
@@ -47,9 +67,12 @@ def reference_trials(factory, n, trials, **kwargs):
     ]
 
 
-def assert_matches_reference(factory, ns, trials, engine, workers, **kwargs):
+def assert_matches_reference(
+    factory, ns, trials, engine, block_size, workers, **kwargs
+):
     sweep = sweep_adversary_batched(
-        factory, ns, trials, engine=engine, workers=workers, **kwargs
+        factory, ns, trials, engine=engine, workers=workers,
+        block_size=block_size, **kwargs
     )
     assert sweep.algorithm == factory(ns[0]).name
     assert sweep.ns == list(ns)
@@ -61,40 +84,43 @@ def assert_matches_reference(factory, ns, trials, engine, workers, **kwargs):
 
 class TestSweepMatchesReferenceLoop:
     @every_engine_and_worker_count
-    def test_two_n_grid(self, engine, workers):
+    def test_two_n_grid(self, engine, block_size, workers):
         assert_matches_reference(
-            gathering, [8, 12], 4, engine, workers, master_seed=11
+            gathering, [8, 12], 4, engine, block_size, workers, master_seed=11
         )
 
     @every_engine_and_worker_count
     @pytest.mark.parametrize("trials", (1, 5))
-    def test_one_n_knowledge_algorithm_with_opt(self, engine, workers, trials):
+    def test_one_n_knowledge_algorithm_with_opt(
+        self, engine, block_size, workers, trials
+    ):
         # One n and several workers: the trials are split into ranges.
         assert_matches_reference(
-            waiting_greedy, [10], trials, engine, workers, master_seed=2,
+            waiting_greedy, [10], trials, engine, block_size, workers,
+            master_seed=2,
             capture_opt=True,
         )
 
     @every_engine_and_worker_count
-    def test_ratio_capture(self, engine, workers):
+    def test_ratio_capture(self, engine, block_size, workers):
         assert_matches_reference(
-            gathering, [8, 12], 4, engine, workers, master_seed=11,
+            gathering, [8, 12], 4, engine, block_size, workers, master_seed=11,
             experiment="ratio-paths", capture_opt=True,
         )
 
     @every_engine_and_worker_count
-    def test_mobility_adversary(self, engine, workers):
+    def test_mobility_adversary(self, engine, block_size, workers):
         assert_matches_reference(
-            waiting, [10], 4, engine, workers, master_seed=3,
+            waiting, [10], 4, engine, block_size, workers, master_seed=3,
             adversary="community",
         )
 
     @pytest.mark.slow
     @every_engine_and_worker_count
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_every_family(self, family, engine, workers):
+    def test_every_family(self, family, engine, block_size, workers):
         assert_matches_reference(
-            gathering, [8, 12], 4, engine, workers, master_seed=9,
+            gathering, [8, 12], 4, engine, block_size, workers, master_seed=9,
             adversary=family,
         )
 

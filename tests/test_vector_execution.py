@@ -7,9 +7,10 @@ the transmission log, seed for seed — for **every registered algorithm**
 (all of which now carry decision kernels) under every committed adversary
 family (uniform / zipf / hub / waypoint / community / trace replay).  The
 few shapes no kernel can mirror (adaptive providers, mis-shaped oracles,
-``enforce_oblivious`` runs, shared RNG instances) fall back to the fast
-engine — exactly, and *observably*: every fallback carries a reason in
-``VectorizedExecutor.last_fallbacks`` and batched sweep cells warn.
+``enforce_oblivious`` runs, shared RNG instances) fall back to the
+reference engine — exactly, and *observably*: every fallback carries a
+reason in ``VectorizedExecutor.last_fallbacks`` and batched sweep cells
+warn.
 """
 
 import warnings
@@ -18,25 +19,33 @@ import numpy as np
 import pytest
 
 from repro.adversaries import TraceReplayAdversary, make_adversary
+from repro.adversaries.base import EventuallyPeriodicAdversary
 from repro.adversaries.committed import CommittedBlockAdversary
+from repro.adversaries.randomized import RandomizedAdversary
 from repro.algorithms.gathering import Gathering
 from repro.algorithms.kernels import KERNELS, get_kernel
 from repro.algorithms.waiting import Waiting
 from repro.algorithms.waiting_greedy import WaitingGreedy, optimal_tau
 from repro.core.algorithm import registry
-from repro.core.data import MAX
+from repro.core.data import MAX, MIN
 from repro.core.execution import Executor
-from repro.core.exceptions import ConfigurationError
-from repro.core.fast_execution import FastExecutor
+from repro.core.exceptions import ConfigurationError, ModelViolationError
 from repro.core.interaction import InteractionSequence
-from repro.core.vector_execution import EngineFallbackWarning, VectorizedExecutor
+from repro.core.vector_execution import (
+    BatchTrial,
+    EngineFallbackWarning,
+    VectorizedExecutor,
+)
 from repro.graph.traces import VehicularGridTrace
 from repro.sim.batch import run_sweep_cell
 from repro.sim.runner import (
+    ENGINES,
     build_knowledge_for_random_run,
     build_trial_adversary,
     default_horizon,
     execute_random_trial,
+    resolve_engine,
+    run_random_trial,
     run_sweep_trial,
 )
 
@@ -73,6 +82,205 @@ def run_engine(engine_cls, name, n, seed, sink=0, family="uniform",
     kwargs = {} if block_size is None else {"block_size": block_size}
     executor = engine_cls(nodes, sink, algorithm, knowledge=knowledge, **kwargs)
     return executor.run(source, max_interactions=horizon)
+
+
+class TestEngineResolution:
+    def test_known_engines(self):
+        assert set(ENGINES) == {"reference", "vectorized"}
+        assert resolve_engine("reference") is Executor
+        assert resolve_engine("vectorized") is VectorizedExecutor
+
+    @pytest.mark.parametrize("engine", ("warp", "fast"))
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(ValueError):
+            resolve_engine(engine)
+        with pytest.raises(ValueError):
+            run_random_trial(Gathering(), 8, seed=0, engine=engine)
+
+
+class TestDifferentialRandomTrials:
+    """Vectorized vs reference on the full randomized-adversary pipeline.
+
+    ``execute_random_trial`` routes committed-knowledge algorithms through a
+    finite sequence and the others through the lazy adversary, so iterating
+    over the whole registry covers both source shapes.
+    """
+
+    @pytest.mark.parametrize("name", sorted(registry.names()))
+    @pytest.mark.parametrize("seed", (0, 1, 2, 3, 4))
+    def test_engines_agree(self, name, seed):
+        reference, _ = execute_random_trial(
+            make_algorithm(name, 14), 14, seed, engine="reference"
+        )
+        vectorized, _ = execute_random_trial(
+            make_algorithm(name, 14), 14, seed, engine="vectorized"
+        )
+        assert vectorized == reference
+
+    def test_engines_agree_on_metrics(self):
+        for seed in (0, 1, 2, 3, 4):
+            reference = run_random_trial(Gathering(), 14, seed, engine="reference")
+            vectorized = run_random_trial(
+                Gathering(), 14, seed, engine="vectorized"
+            )
+            assert vectorized == reference
+
+
+class TestDifferentialSources:
+    """Every interaction-source shape, kernel path and fallback alike."""
+
+    def test_committed_sequence_source(self):
+        for seed in (0, 1, 2, 3, 4):
+            adversary = RandomizedAdversary(list(range(10)), seed=seed)
+            sequence = adversary.committed_prefix(600)
+            reference = Executor(list(range(10)), 0, Gathering()).run(sequence)
+            vectorized = VectorizedExecutor(
+                list(range(10)), 0, Gathering()
+            ).run(sequence)
+            assert vectorized == reference
+
+    def test_committed_prefix_equals_the_plain_sequence(self):
+        adversary = RandomizedAdversary(list(range(10)), seed=3)
+        prefix = adversary.committed_prefix(300)
+        plain = InteractionSequence.from_pairs(
+            [(item.u, item.v) for item in prefix]
+        )
+        assert prefix == plain
+        i, j = prefix.index_pairs
+        assert [
+            {prefix.index_nodes[a], prefix.index_nodes[b]}
+            for a, b in zip(i.tolist(), j.tolist())
+        ] == [{item.u, item.v} for item in plain]
+
+    @pytest.mark.parametrize(
+        "executor_nodes",
+        [list(range(9, -1, -1)), list(range(12))],
+        ids=["reordered", "superset"],
+    )
+    def test_committed_prefix_under_another_node_order(self, executor_nodes):
+        # The prefix's dense indices are translated into the executor's
+        # order: no fallback, and the reference result exactly.
+        for seed in (0, 1, 2):
+            sequence = RandomizedAdversary(
+                list(range(10)), seed=seed
+            ).committed_prefix(900)
+            reference = Executor(executor_nodes, 0, Gathering()).run(sequence)
+            executor = VectorizedExecutor(executor_nodes, 0, Gathering())
+            assert executor.run(sequence) == reference
+            assert executor.last_fallback_reasons == ()
+
+    def test_committed_prefix_with_foreign_node_falls_back(self):
+        sequence = RandomizedAdversary(list(range(6)), seed=0).committed_prefix(
+            200
+        )
+        nodes = list(range(5))
+
+        def run(engine_cls):
+            executor = engine_cls(nodes, 0, Gathering())
+            try:
+                return executor, ("ok", executor.run(sequence))
+            except Exception as exc:
+                return executor, ("error", type(exc).__name__)
+
+        vec_executor, vectorized = run(VectorizedExecutor)
+        assert vectorized == run(Executor)[1]
+        assert vec_executor.last_fallback_reasons == (
+            "interaction sequence mentions nodes outside the executor's "
+            "node set",
+        )
+
+    def test_lazy_adversary_source(self):
+        nodes = list(range(10))
+        for seed in (0, 1, 2, 3, 4):
+            reference = Executor(nodes, 0, Waiting()).run(
+                RandomizedAdversary(nodes, seed=seed), max_interactions=4000
+            )
+            vectorized = VectorizedExecutor(nodes, 0, Waiting()).run(
+                RandomizedAdversary(nodes, seed=seed), max_interactions=4000
+            )
+            assert vectorized == reference
+
+    def test_generic_provider_source(self):
+        adversary = lambda: EventuallyPeriodicAdversary(
+            prefix=[(1, 2), (3, 4)], cycle=[(2, 3), (1, 0), (2, 0), (4, 0), (3, 0)]
+        )
+        nodes = list(range(5))
+        reference = Executor(nodes, 0, Gathering()).run(
+            adversary(), max_interactions=50
+        )
+        executor = VectorizedExecutor(nodes, 0, Gathering())
+        vectorized = executor.run(adversary(), max_interactions=50)
+        assert vectorized == reference
+        (reason,) = executor.last_fallback_reasons
+        assert "adaptive / non-committed" in reason
+
+    def test_exhausted_finite_provider(self):
+        # A source that runs dry before the horizon: interactions_used and
+        # remaining_owners must match the reference exactly.
+        sequence = InteractionSequence.from_pairs([(1, 2), (3, 4)])
+        nodes = list(range(5))
+        reference = Executor(nodes, 0, Waiting()).run(sequence, max_interactions=100)
+        vectorized = VectorizedExecutor(nodes, 0, Waiting()).run(
+            sequence, max_interactions=100
+        )
+        assert vectorized == reference
+        assert not vectorized.terminated
+        assert vectorized.remaining_owners == reference.remaining_owners
+
+    def test_non_default_aggregation_and_payloads(self):
+        sequence = InteractionSequence.from_pairs([(2, 1), (1, 0), (3, 0)])
+        nodes = [0, 1, 2, 3]
+        payloads = {0: 5.0, 1: -2.0, 2: 7.5, 3: 0.25}
+        for aggregation in (MIN, MAX):
+            for algorithm_cls in (Gathering, _UnregisteredGathering):
+                # The unregistered clone takes the reference fallback, which
+                # must thread the aggregation and payloads through too.
+                reference = Executor(
+                    nodes, 0, algorithm_cls(), aggregation=aggregation
+                ).run(sequence, initial_payloads=payloads)
+                vectorized = VectorizedExecutor(
+                    nodes, 0, algorithm_cls(), aggregation=aggregation
+                ).run(sequence, initial_payloads=payloads)
+                assert vectorized == reference
+                assert vectorized.sink_payload == reference.sink_payload
+
+
+class TestModelEnforcement:
+    """Model violations raise on the vectorized engine as on the reference.
+
+    The probes carry names that own no kernel, so they run their own
+    ``decide`` on the reference fallback.
+    """
+
+    def test_sink_sender_rejected(self):
+        class SinkSender(Gathering):
+            name = "sink_sender_probe"
+
+            def decide(self, first, second, time):
+                # Receiver is whichever node is NOT the sink: sink must send.
+                return second.id if first.is_sink else first.id
+
+        sequence = InteractionSequence.from_pairs([(0, 1)])
+        with pytest.raises(ModelViolationError):
+            VectorizedExecutor([0, 1], 0, SinkSender()).run(sequence)
+
+    def test_foreign_receiver_rejected(self):
+        class Outsider(Gathering):
+            name = "outsider_probe"
+
+            def decide(self, first, second, time):
+                return 99
+
+        sequence = InteractionSequence.from_pairs([(1, 2)])
+        with pytest.raises(ModelViolationError):
+            VectorizedExecutor([0, 1, 2], 0, Outsider()).run(sequence)
+
+    def test_constructor_validations_match_reference(self):
+        sequence = InteractionSequence.from_pairs([(0, 1)])
+        with pytest.raises(ModelViolationError):
+            VectorizedExecutor([0, 1], 9, Gathering()).run(sequence)
+        with pytest.raises(ModelViolationError):
+            VectorizedExecutor([0], 0, Gathering()).run(sequence)
 
 
 class TestKernelRegistry:
@@ -182,8 +390,8 @@ class _UnregisteredGathering(Gathering):
 
 
 class TestFallback:
-    """The few trial shapes the kernels cannot mirror run through the fast
-    engine — exactly, and with an observable per-trial reason."""
+    """The few trial shapes the kernels cannot mirror run through the
+    reference engine — exactly, and with an observable per-trial reason."""
 
     def test_unregistered_algorithm_falls_back_with_reason(self):
         nodes = list(range(10))
@@ -258,7 +466,7 @@ class TestFallback:
 
     def test_sequence_with_foreign_node_falls_back(self):
         """A sequence naming nodes outside the instance must behave like the
-        per-interaction engines (which only fail if the run reaches it)."""
+        reference engine (which only fails if the run reaches it)."""
         sequence = InteractionSequence.from_pairs([(0, 1), (0, 2), (0, 99)])
         nodes = [0, 1, 2]
         reference = Executor(nodes, 0, Gathering()).run(sequence)
@@ -284,6 +492,22 @@ class TestFallback:
         (reason,) = executor.last_fallback_reasons
         assert "adaptive" in reason
 
+    def test_unorderable_identifiers_fall_back(self):
+        """Mixed identifier types have no canonical order for the kernels'
+        rank arrays; the reference engine orders such pairs by repr."""
+        nodes = ["s", 1, 2.5, "b", 3]
+        sequence = InteractionSequence.from_pairs(
+            [(1, "b"), (2.5, 3), ("b", "s"), (3, "s"), (1, 2.5), (1, "s")]
+        )
+        reference = Executor(nodes, "s", Gathering()).run(sequence)
+        executor = VectorizedExecutor(nodes, "s", Gathering())
+        vectorized = executor.run(sequence)
+        assert vectorized == reference
+        assert vectorized.transmission_count >= 3
+        assert executor.last_fallback_reasons == (
+            "node identifiers have no canonical total order",
+        )
+
     def test_enforce_oblivious_falls_back(self):
         result = run_engine(Executor, "gathering", 10, seed=2)
         nodes = list(range(10))
@@ -305,7 +529,6 @@ class TestFallback:
         the lockstep: interleaving rows would consume the shared stream in
         a different order than sequential per-trial execution."""
         from repro.algorithms.random_baseline import RandomReceiver
-        from repro.core.fast_execution import BatchTrial
 
         n, sink = 14, 0
         nodes = list(range(n))
@@ -322,10 +545,14 @@ class TestFallback:
                 )
             return trials
 
-        shared_fast = RandomReceiver(seed=99)
-        expected = FastExecutor(nodes, sink, shared_fast).run_many(
-            batch(shared_fast)
-        )
+        # Sequential per-trial execution on the reference engine, one
+        # shared instance consuming one stream in batch order.
+        shared_reference = RandomReceiver(seed=99)
+        executor = Executor(nodes, sink, shared_reference)
+        expected = [
+            executor.run(trial.source, max_interactions=trial.max_interactions)
+            for trial in batch(shared_reference)
+        ]
         shared_vec = RandomReceiver(seed=99)
         executor = VectorizedExecutor(nodes, sink, shared_vec)
         actual = executor.run_many(batch(shared_vec))
@@ -334,13 +561,12 @@ class TestFallback:
         for reason in executor.last_fallback_reasons:
             assert "shared across 3 trials" in reason
         # Distinct per-trial instances do take the kernel path and agree too.
-        per_trial_fast = [
-            BatchTrial(
-                source=build_trial_adversary(
+        per_trial_reference = [
+            Executor(nodes, sink, RandomReceiver(seed=seed)).run(
+                build_trial_adversary(
                     "uniform", nodes, seed, horizon, sink, None
                 ),
                 max_interactions=horizon,
-                algorithm=RandomReceiver(seed=seed),
             )
             for seed in (3, 4, 5)
         ]
@@ -358,16 +584,12 @@ class TestFallback:
             VectorizedExecutor(nodes, sink, RandomReceiver(seed=0)).run_many(
                 per_trial_vec
             )
-            == FastExecutor(nodes, sink, RandomReceiver(seed=0)).run_many(
-                per_trial_fast
-            )
+            == per_trial_reference
         )
 
     def test_mixed_batch_preserves_order(self):
         """Heterogeneous algorithms interleave in one batch — and, now that
         every algorithm has a kernel, all of them take the lockstep."""
-        from repro.core.fast_execution import BatchTrial
-
         n, sink = 11, 0
         nodes = list(range(n))
         names = ["gathering", "spanning_tree", "waiting", "full_knowledge"]
@@ -419,7 +641,10 @@ class TestFallbackReporting:
 
         monkeypatch.delitem(kernels_module.KERNELS, "spanning_tree")
         factory = lambda n: make_algorithm("spanning_tree", n)
-        with pytest.warns(EngineFallbackWarning, match=r"4 of 4 trials"):
+        with pytest.warns(
+            EngineFallbackWarning,
+            match=r"fell back to the reference engine for 4 of 4 trials",
+        ):
             metrics = run_sweep_cell(
                 factory, 10, 4, master_seed=3, engine="vectorized"
             )
@@ -465,11 +690,13 @@ class TestFallbackReporting:
         assert executor.last_fallback_count == 0
         assert executor.last_fallback_reasons == ()
 
-    def test_fast_engine_cells_report_nothing(self):
-        """Fallback telemetry is a vectorized-engine concept; fast cells
-        carry no tags."""
+    def test_reference_engine_cells_report_nothing(self):
+        """Fallback telemetry is a vectorized-engine concept; reference
+        cells carry no tags."""
         factory = lambda n: make_algorithm("spanning_tree", n)
-        metrics = run_sweep_cell(factory, 10, 3, master_seed=1, engine="fast")
+        metrics = run_sweep_cell(
+            factory, 10, 3, master_seed=1, engine="reference"
+        )
         assert all(
             "engine_fallback" not in trial_metrics.extra
             for trial_metrics in metrics
