@@ -56,68 +56,23 @@ def machine_fingerprint() -> str:
 
 
 def normalize_engine_record(record: Dict) -> Dict:
-    """Map any historical engine-trajectory record shape onto the schema.
+    """Project an engine-trajectory record onto the canonical schema.
 
-    Three shapes exist in the wild: the original fast-vs-reference rows
-    (``fast_seconds``/``reference_seconds``), the mobility batched rows
-    (``kind == "mobility_batched"``, ``batched_fast_seconds``, a list of
-    ``adversaries``), and already-normalized rows (passed through, with the
-    key order canonicalised).  Raises ValueError on anything else, so a new
-    shape cannot silently creep into the trajectory again.
+    Keeps :data:`ENGINE_SCHEMA_KEYS` in canonical order plus the optional
+    ``host`` provenance key, and drops anything else.  Raises ValueError on
+    a record missing a schema key, so a new shape cannot silently creep
+    into the trajectory.
     """
-    if set(ENGINE_SCHEMA_KEYS) <= set(record):
-        normalized = {key: record[key] for key in ENGINE_SCHEMA_KEYS}
-    elif "fast_seconds" in record and "reference_seconds" in record:
-        normalized = {
-            "engine": "fast",
-            "baseline": "reference",
-            "adversary": record.get("adversary", "uniform"),
-            "algorithms": list(record["algorithms"]),
-            "n": record["n"],
-            "trials": record["trials"],
-            "seconds": record["fast_seconds"],
-            "baseline_seconds": record["reference_seconds"],
-            "speedup": record["speedup"],
-        }
-    elif record.get("kind") == "mobility_batched":
-        normalized = {
-            "engine": "fast_batched",
-            "baseline": "reference",
-            "adversary": "+".join(record["adversaries"]),
-            "algorithms": [record["algorithm"]],
-            "n": record["n"],
-            "trials": record["trials"],
-            "seconds": record["batched_fast_seconds"],
-            "baseline_seconds": record["reference_seconds"],
-            "speedup": record["speedup"],
-        }
-    else:
+    if not set(ENGINE_SCHEMA_KEYS) <= set(record):
         raise ValueError(
             f"unrecognised engine benchmark record shape: {sorted(record)}"
         )
+    normalized = {key: record[key] for key in ENGINE_SCHEMA_KEYS}
     # Optional provenance key: preserved when present (historical records
     # predate it), stamped by record_bench_trajectory on new records.
     if "host" in record:
         normalized["host"] = record["host"]
     return normalized
-
-
-def migrate_engine_trajectory(path: Path = None) -> Path:
-    """Rewrite ``BENCH_engine.json`` in place onto the canonical schema.
-
-    Idempotent: already-normalized trajectories are rewritten unchanged.
-    Returns the path written.
-    """
-    path = path or BENCH_DIR / "BENCH_engine.json"
-    trajectory = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(trajectory, list):
-        trajectory = [trajectory]
-    normalized = [normalize_engine_record(record) for record in trajectory]
-    path.write_text(
-        json.dumps(normalized, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return path
 
 
 def run_experiment_benchmark(

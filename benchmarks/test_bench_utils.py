@@ -4,83 +4,50 @@ import json
 
 import pytest
 
-from bench_utils import (
-    ENGINE_SCHEMA_KEYS,
-    migrate_engine_trajectory,
-    normalize_engine_record,
-)
+from bench_utils import ENGINE_SCHEMA_KEYS, normalize_engine_record
 
 
-LEGACY_FAST = {
-    "algorithms": ["gathering", "waiting_greedy"],
-    "fast_seconds": 0.038724,
+RECORD = {
+    "adversary": "uniform",
+    "algorithms": ["gathering", "waiting", "waiting_greedy"],
+    "baseline": "reference",
+    "baseline_seconds": 0.292582,
+    "engine": "vectorized",
     "n": 120,
-    "reference_seconds": 0.292582,
+    "seconds": 0.038724,
     "speedup": 7.556,
-    "trials": 5,
-}
-
-LEGACY_MOBILITY = {
-    "adversaries": ["community", "waypoint"],
-    "algorithm": "waiting",
-    "batched_fast_seconds": 0.450726,
-    "kind": "mobility_batched",
-    "n": 100,
-    "reference_seconds": 2.549349,
-    "speedup": 5.656,
     "trials": 5,
 }
 
 
 class TestNormalizeEngineRecord:
-    def test_legacy_fast_shape(self):
-        record = normalize_engine_record(LEGACY_FAST)
-        assert set(record) == set(ENGINE_SCHEMA_KEYS)
-        assert record["engine"] == "fast"
-        assert record["baseline"] == "reference"
-        assert record["adversary"] == "uniform"
-        assert record["seconds"] == LEGACY_FAST["fast_seconds"]
-        assert record["baseline_seconds"] == LEGACY_FAST["reference_seconds"]
-
-    def test_legacy_mobility_shape(self):
-        record = normalize_engine_record(LEGACY_MOBILITY)
-        assert set(record) == set(ENGINE_SCHEMA_KEYS)
-        assert record["engine"] == "fast_batched"
-        assert record["adversary"] == "community+waypoint"
-        assert record["algorithms"] == ["waiting"]
-        assert record["seconds"] == LEGACY_MOBILITY["batched_fast_seconds"]
-
     def test_normalized_shape_is_idempotent(self):
-        once = normalize_engine_record(LEGACY_FAST)
+        once = normalize_engine_record(RECORD)
+        assert list(once) == list(ENGINE_SCHEMA_KEYS)
         assert normalize_engine_record(once) == once
 
     def test_extra_keys_are_dropped_from_normalized_records(self):
-        padded = dict(normalize_engine_record(LEGACY_FAST), stray="x")
+        padded = dict(RECORD, stray="x")
         assert "stray" not in normalize_engine_record(padded)
 
     def test_host_provenance_is_preserved(self):
-        stamped = dict(normalize_engine_record(LEGACY_FAST), host="arm64-8cpu")
+        stamped = dict(RECORD, host="arm64-8cpu")
         assert normalize_engine_record(stamped)["host"] == "arm64-8cpu"
 
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError):
             normalize_engine_record({"mystery": 1})
 
+    def test_legacy_fast_shape_rejected(self):
+        # No committed record has the old fast-engine shape any more.
+        with pytest.raises(ValueError):
+            normalize_engine_record(
+                {"algorithms": ["gathering"], "fast_seconds": 0.04, "n": 120,
+                 "reference_seconds": 0.29, "speedup": 7.5, "trials": 5}
+            )
 
-class TestMigrateEngineTrajectory:
-    def test_migrates_mixed_shapes_in_place(self, tmp_path):
-        path = tmp_path / "BENCH_engine.json"
-        path.write_text(json.dumps([LEGACY_FAST, LEGACY_MOBILITY]))
-        migrate_engine_trajectory(path)
-        migrated = json.loads(path.read_text())
-        assert [set(record) for record in migrated] == [
-            set(ENGINE_SCHEMA_KEYS)
-        ] * 2
-        # Idempotent: a second migration leaves the file unchanged.
-        before = path.read_text()
-        migrate_engine_trajectory(path)
-        assert path.read_text() == before
 
+class TestCommittedTrajectory:
     def test_committed_trajectory_is_fully_normalized(self):
         from bench_utils import BENCH_DIR
 

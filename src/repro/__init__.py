@@ -111,7 +111,7 @@ from .sim import (
     sweep_adversary_batched,
 )
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 from .campaign import (  # noqa: E402  (needs __version__ for store manifests)
     CampaignReport,

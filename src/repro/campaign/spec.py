@@ -15,18 +15,22 @@ Invariants:
   campaign fails before any cell runs.
 * :meth:`CampaignSpec.spec_hash` covers exactly the *result-determining*
   fields (algorithms, adversaries, ns, trials, master seed, experiment
-  label, adversary parameters).  The engine, block size and description are
-  excluded on purpose: all engines produce identical results seed for seed,
-  so a campaign resumed under a different engine must verify against the
-  same hash.
+  label, adversary parameters).  The engine and description are excluded
+  on purpose: all engines produce identical results seed for seed, so a
+  campaign resumed under a different engine must verify against the same
+  hash.
+* Removed keys fail by name: a spec naming ``block_size`` (the vectorized
+  engine's committed window, fixed since 1.7.0) is rejected with one
+  :class:`CampaignSpecError`, while a store manifest that still echoes it
+  reads back unchanged, because it was never part of the hash.
 * :meth:`CampaignSpec.cells` enumerates the grid in a fixed deterministic
   order (adversary-major, then algorithm, then ``n``) and every cell's
   :attr:`CampaignCell.key` is a pure function of ``(spec_hash, adversary,
   algorithm, n)`` — the content address used by the on-disk store.
 
 Specs load from TOML (:func:`load_campaign_spec` with a ``.toml`` path,
-via the standard-library ``tomllib``) or JSON; see ``docs/campaigns.md``
-for the file format and a worked example.
+via the standard-library ``tomllib``, Python >= 3.11) or JSON; see
+``docs/campaigns.md`` for the file format and a worked example.
 """
 
 from __future__ import annotations
@@ -116,7 +120,6 @@ class CampaignSpec:
         experiment: seed-derivation label (changing it changes every seed).
         engine: default execution engine (overridable at run time — results
             are engine-invariant, wall-clock is not).
-        block_size: committed-window override for the vectorized engine.
         adversary_params: per-family parameter overrides, e.g.
             ``{"zipf": {"exponent": 1.5}}``.
         ratio: when True every trial also captures the offline-optimum
@@ -136,7 +139,6 @@ class CampaignSpec:
     master_seed: int = 0
     experiment: str = "campaign"
     engine: str = "vectorized"
-    block_size: Optional[int] = None
     adversary_params: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     ratio: bool = False
     description: str = ""
@@ -173,10 +175,6 @@ class CampaignSpec:
             validate_sweep_parameters(self.ns, self.trials)
         except ValueError as error:
             raise CampaignSpecError(str(error)) from None
-        if self.block_size is not None and self.block_size < 1:
-            raise CampaignSpecError(
-                f"block_size must be >= 1, got {self.block_size}"
-            )
         for family in self.adversary_params:
             if family not in ADVERSARY_FAMILIES:
                 raise CampaignSpecError(
@@ -213,7 +211,7 @@ class CampaignSpec:
     def spec_hash(self) -> str:
         """SHA-256 over the canonical result-determining fields.
 
-        Stable across engine/block-size/description changes and across
+        Stable across engine/description changes and across
         processes (plain JSON, sorted keys, no floats in the keyed fields).
         """
         canonical = json.dumps(self.result_fields(), sort_keys=True)
@@ -248,22 +246,14 @@ class CampaignSpec:
                 "name": self.name,
                 "description": self.description,
                 "engine": self.engine,
-                "block_size": self.block_size,
                 "ratio": self.ratio,
             }
         )
         return data
 
-    def with_engine(
-        self, engine: Optional[str], block_size: Optional[int] = None
-    ) -> "CampaignSpec":
-        """A copy with the engine/block-size run-time overrides applied."""
-        changes: Dict[str, Any] = {}
-        if engine is not None:
-            changes["engine"] = engine
-        if block_size is not None:
-            changes["block_size"] = block_size
-        return replace(self, **changes) if changes else self
+    def with_engine(self, engine: Optional[str]) -> "CampaignSpec":
+        """A copy with the run-time engine override applied (None keeps it)."""
+        return self if engine is None else replace(self, engine=engine)
 
 
 def cell_key(spec_hash: str, adversary: str, algorithm: str, n: int) -> str:
@@ -281,9 +271,15 @@ def spec_from_dict(data: Mapping[str, Any]) -> CampaignSpec:
     ``docs/campaigns.md``); unknown keys are rejected so typos fail loudly.
 
     Raises:
-        CampaignSpecError: on unknown keys, missing required keys, or any
+        CampaignSpecError: on removed, unknown or missing keys, or any
             validation failure.
     """
+    if "block_size" in data:
+        raise CampaignSpecError(
+            "spec key 'block_size' was removed in repro 1.7.0: the "
+            "vectorized engine's committed window is fixed; delete the key "
+            "(results never depended on it)"
+        )
     known = {
         "name",
         "description",
@@ -294,7 +290,6 @@ def spec_from_dict(data: Mapping[str, Any]) -> CampaignSpec:
         "master_seed",
         "experiment",
         "engine",
-        "block_size",
         "adversary_params",
         "ratio",
     }
@@ -313,11 +308,16 @@ def spec_from_dict(data: Mapping[str, Any]) -> CampaignSpec:
         return tuple(value)
 
     def as_int(value: Any, key: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        # Integral floats (80.0) are accepted; 80.7 is an error, not 80.
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float, str))
+            or (isinstance(value, float) and not value.is_integer())
+        ):
             raise CampaignSpecError(f"spec key {key!r} must be an integer, got {value!r}")
         try:
             return int(value)
-        except (TypeError, ValueError):
+        except ValueError:
             raise CampaignSpecError(
                 f"spec key {key!r} must be an integer, got {value!r}"
             ) from None
@@ -329,7 +329,7 @@ def spec_from_dict(data: Mapping[str, Any]) -> CampaignSpec:
     }
     if "adversaries" in data:
         kwargs["adversaries"] = as_tuple(data["adversaries"], "adversaries")
-    for key in ("trials", "master_seed", "block_size"):
+    for key in ("trials", "master_seed"):
         if data.get(key) is not None:
             kwargs[key] = as_int(data[key], key)
     for key in ("experiment", "engine", "description"):
@@ -354,14 +354,17 @@ def spec_from_dict(data: Mapping[str, Any]) -> CampaignSpec:
 def spec_from_manifest(manifest: Mapping[str, Any]) -> CampaignSpec:
     """The spec echoed in a store manifest, reconstructed for reading.
 
-    The engine is outside :meth:`CampaignSpec.spec_hash` and decides no
-    result, so an echo naming an engine this version no longer has (a
-    store written under the removed ``fast`` engine) reads back with the
-    default engine: ``campaign status`` and ``report`` keep working on it.
+    Neither the engine nor the removed ``block_size`` key is part of
+    :meth:`CampaignSpec.spec_hash`, and neither decides a result.  So an
+    echo naming an engine this version no longer has (a store written
+    under the removed ``fast`` engine) reads back with the default engine,
+    and a ``block_size`` entry (written before 1.7.0) is dropped:
+    ``campaign status``, ``report`` and resume keep working on such stores.
     """
     echo = dict(manifest.get("spec", {}))
     if echo.get("engine") not in ENGINES:
         echo.pop("engine", None)
+    echo.pop("block_size", None)
     return spec_from_dict(echo)
 
 
@@ -379,8 +382,13 @@ def load_campaign_spec(path: "str | Path") -> CampaignSpec:
     suffix = spec_path.suffix.lower()
     try:
         if suffix == ".toml":
-            import tomllib
-
+            try:
+                import tomllib
+            except ImportError:
+                raise CampaignSpecError(
+                    f"cannot read {spec_path}: TOML specs need Python >= 3.11 "
+                    "(standard-library tomllib); use a .json spec instead"
+                ) from None
             data = tomllib.loads(text)
         elif suffix == ".json":
             data = json.loads(text)

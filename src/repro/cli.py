@@ -30,10 +30,9 @@ Knob composition (details in ``docs/engines.md``): ``--engine`` selects the
 executor everywhere it appears (``sweep`` defaults to ``vectorized``, the
 other commands to ``reference``); ``--workers`` distributes sweep cells
 over processes, splitting each ``n``'s trials into one contiguous range
-per worker; ``--block-size`` tunes the
-vectorized engine's committed window.  ``--ratio`` (on ``run``,
-``run-all``, ``trial`` and ``sweep``) additionally captures the offline-optimum baseline per
-trial, adding ``opt_cost``/``competitive_ratio`` metrics and ratio table
+per worker.  ``--ratio`` (on ``run``, ``run-all``, ``trial`` and
+``sweep``) additionally captures the offline-optimum baseline per trial,
+adding ``opt_cost``/``competitive_ratio`` metrics and ratio table
 columns (``docs/metrics.md``); campaign specs opt in with ``ratio = true``
 and their reports then carry ratio columns automatically.  Every
 combination produces identical results — the knobs trade wall-clock time
@@ -170,14 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_workers_option(sweep_parser)
     add_adversary_option(sweep_parser)
     add_ratio_option(sweep_parser)
-    sweep_parser.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        help="committed-future window consumed per engine step "
-        "(tuning knob for --engine vectorized; default: the "
-        "engine's benchmarked default)",
-    )
 
     search_parser = subparsers.add_parser(
         "search",
@@ -290,13 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute at most this many pending cells, then stop (the "
         "store stays resumable; mainly for smoke tests and budgeted runs)",
     )
-    campaign_run.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        help="override the spec's committed-window block size for the "
-        "vectorized engine",
-    )
 
     campaign_status_parser = campaign_sub.add_parser(
         "status",
@@ -353,23 +337,21 @@ def build_parser() -> argparse.ArgumentParser:
         "(benchmarks/BENCH_*.json)",
         description="Render the benchmark history the perf gate floors: "
         "'trajectory' tabulates BENCH_engine.json (per-record engine "
-        "speedups vs the reference) and BENCH_blocksize.json (committed-"
-        "window tuning) so regressions and improvements are visible "
-        "without scraping JSON.",
+        "speedups vs the reference) so regressions and improvements are "
+        "visible without scraping JSON.",
     )
     bench_sub = bench_parser.add_subparsers(dest="bench_command", required=True)
     bench_trajectory = bench_sub.add_parser(
         "trajectory",
-        help="tabulate the recorded BENCH_engine / BENCH_blocksize history",
+        help="tabulate the recorded BENCH_engine history",
     )
     bench_trajectory.add_argument(
         "--dir",
         default="benchmarks",
-        help="directory holding BENCH_engine.json / BENCH_blocksize.json "
-        "(default: benchmarks)",
+        help="directory holding BENCH_engine.json (default: benchmarks)",
     )
     bench_trajectory.add_argument(
-        "--output", default=None, help="write the markdown tables to this file"
+        "--output", default=None, help="write the markdown table to this file"
     )
     return parser
 
@@ -438,10 +420,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             resolve_engine(args.engine)
             if args.workers < 1:
                 raise ValueError(f"workers must be >= 1, got {args.workers}")
-            if args.block_size is not None and args.block_size < 1:
-                raise ValueError(
-                    f"--block-size must be >= 1, got {args.block_size}"
-                )
             if args.algorithm not in registry.names():
                 raise ValueError(
                     f"unknown algorithm {args.algorithm!r}; "
@@ -457,7 +435,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             engine=args.engine,
             workers=args.workers,
             adversary=args.adversary,
-            block_size=args.block_size,
             capture_opt=args.ratio,
         )
         _emit(sweep.to_table().to_markdown(), args.output)
@@ -607,7 +584,7 @@ def _trace_main(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _bench_main(parser: argparse.ArgumentParser, args) -> int:
-    """Dispatch ``bench trajectory``: tabulate the BENCH_*.json history."""
+    """Dispatch ``bench trajectory``: tabulate the BENCH_engine.json history."""
     import json
     from pathlib import Path
 
@@ -616,73 +593,25 @@ def _bench_main(parser: argparse.ArgumentParser, args) -> int:
     if args.bench_command != "trajectory":
         parser.error(f"unknown bench command {args.bench_command!r}")
 
-    bench_dir = Path(args.dir)
-    sections = []
-
-    engine_path = bench_dir / "BENCH_engine.json"
-    if engine_path.is_file():
-        try:
-            records = json.loads(engine_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            print(f"bench error: {engine_path}: {error}", file=sys.stderr)
-            return 2
-        table = ResultTable(
-            title="Engine speedup trajectory (BENCH_engine.json)",
-            columns=[
-                "engine", "baseline", "adversary", "n", "trials",
-                "speedup", "seconds", "baseline_seconds", "host",
-            ],
-        )
-        for record in records:
-            table.add_row(
-                engine=record.get("engine"),
-                baseline=record.get("baseline"),
-                adversary=record.get("adversary"),
-                n=record.get("n"),
-                trials=record.get("trials"),
-                speedup=record.get("speedup"),
-                seconds=record.get("seconds"),
-                baseline_seconds=record.get("baseline_seconds"),
-                host=record.get("host"),
-            )
-        sections.append(table.to_markdown())
-
-    blocksize_path = bench_dir / "BENCH_blocksize.json"
-    if blocksize_path.is_file():
-        try:
-            records = json.loads(blocksize_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            print(f"bench error: {blocksize_path}: {error}", file=sys.stderr)
-            return 2
-        table = ResultTable(
-            title="Committed-window tuning trajectory (BENCH_blocksize.json)",
-            columns=[
-                "n", "trials", "best_block_size", "default_block_size",
-                "best_ms", "default_ms",
-            ],
-        )
-        for record in records:
-            timings = record.get("timings_ms", {})
-            best = record.get("best_block_size")
-            default = record.get("default_block_size")
-            table.add_row(
-                n=record.get("n"),
-                trials=record.get("trials"),
-                best_block_size=best,
-                default_block_size=default,
-                best_ms=timings.get(str(best)),
-                default_ms=timings.get(str(default)),
-            )
-        sections.append(table.to_markdown())
-
-    if not sections:
-        print(
-            f"bench error: no BENCH_engine.json or BENCH_blocksize.json "
-            f"under {bench_dir}",
-            file=sys.stderr,
-        )
+    engine_path = Path(args.dir) / "BENCH_engine.json"
+    if not engine_path.is_file():
+        print(f"bench error: no BENCH_engine.json under {args.dir}", file=sys.stderr)
         return 2
-    _emit("\n\n".join(sections), args.output)
+    try:
+        records = json.loads(engine_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as error:
+        print(f"bench error: {engine_path}: {error}", file=sys.stderr)
+        return 2
+    columns = [
+        "engine", "baseline", "adversary", "n", "trials",
+        "speedup", "seconds", "baseline_seconds", "host",
+    ]
+    table = ResultTable(
+        title="Engine speedup trajectory (BENCH_engine.json)", columns=columns
+    )
+    for record in records:
+        table.add_row(**{column: record.get(column) for column in columns})
+    _emit(table.to_markdown(), args.output)
     return 0
 
 
@@ -721,7 +650,6 @@ def _campaign_main(parser: argparse.ArgumentParser, args) -> int:
                 engine=args.engine,
                 workers=args.workers,
                 max_cells=args.max_cells,
-                block_size=args.block_size,
                 echo=lambda line: print(line, file=sys.stderr),
             )
             print(summary.to_text())

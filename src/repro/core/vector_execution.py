@@ -33,13 +33,20 @@ in ``tests/test_vector_execution.py`` and the invariant harness in
 decision kernel, so under the standard sim-layer trial shapes no trial ever
 leaves the lockstep.  The few trials the kernels cannot reproduce exactly —
 an adaptive / non-committed interaction source, an oracle shape a kernel
-cannot mirror, ``enforce_oblivious`` runs, unorderable node identifiers, a
-sequential-kernel (RNG) algorithm instance shared across trials — fall back
-to the reference :class:`~repro.core.execution.Executor`, one trial at a
-time in batch order, and the engine reports each downgrade through
+cannot mirror, unorderable node identifiers, a sequential-kernel (RNG)
+algorithm instance shared across trials — fall back to the reference
+:class:`~repro.core.execution.Executor`, one trial at a time in batch
+order, and the engine reports each downgrade through
 :attr:`VectorizedExecutor.last_fallbacks` (per-trial
 :class:`EngineFallback` records with human-readable reasons); the sim layer
 surfaces nonzero counts as :class:`EngineFallbackWarning`.
+
+Each trial's committed future is read in lockstep windows that start at
+:data:`INITIAL_BLOCK` interactions and double up to the fixed cap
+:attr:`VectorizedExecutor.block_size`.  The window is only how the engine
+reads the future, never what it means: results are identical for every
+cap (``tests/test_vector_execution.py`` and
+``benchmarks/test_bench_blocksize.py`` check a range of them).
 
 Engine selection guidance lives in ``docs/engines.md``; the speedup
 trajectory (~32x over the reference engine on the standard n = 120
@@ -80,19 +87,11 @@ from .interaction import InteractionSequence
 
 __all__ = [
     "BatchTrial",
-    "DEFAULT_BLOCK_SIZE",
     "EngineFallback",
     "EngineFallbackWarning",
     "VectorizedExecutor",
     "INITIAL_BLOCK",
 ]
-
-#: Default number of committed interactions consumed per lockstep window
-#: (the cap the window doubles up to).  Large enough to amortise the numpy
-#: slicing, small enough that an early termination does not force drawing
-#: far beyond the duration.  Pinned by the micro-benchmark in
-#: ``benchmarks/test_bench_blocksize.py``.
-DEFAULT_BLOCK_SIZE = 4096
 
 
 def validate_instance(nodes: List[NodeId], sink: NodeId) -> None:
@@ -167,8 +166,8 @@ class EngineFallback:
 #: First block length of a batch.  Starting small keeps the scalar
 #: candidate walk short through the dense early phase (when every node
 #: still owns data, every interaction is a candidate); the block length
-#: doubles up to the engine's ``block_size`` as owners thin out and
-#: candidates become rare.  Instances with fewer than 32 nodes start at
+#: doubles up to :attr:`VectorizedExecutor.block_size` as owners thin out
+#: and candidates become rare.  Instances with fewer than 32 nodes start at
 #: ``n * n`` instead (about a Gathering run), so a single small trial does
 #: not pay for window-wide array work past its termination.
 INITIAL_BLOCK = 1024
@@ -228,8 +227,7 @@ class VectorizedExecutor:
     """Run batches of DODA trials as numpy struct-of-arrays.
 
     Construction mirrors the reference :class:`~repro.core.execution.
-    Executor`; ``block_size`` bounds the committed-future window consumed
-    per lockstep iteration.
+    Executor`.
 
     Args:
         nodes: the node set shared by every trial of a batch.
@@ -237,13 +235,16 @@ class VectorizedExecutor:
         algorithm: default algorithm (overridable per trial).
         aggregation: payload fold.
         knowledge: default knowledge bundle (overridable per trial).
-        enforce_oblivious: when True every trial falls back to the
-            reference engine, which implements the memory-write check
-            (kernels never touch node memory, so there is nothing to
-            enforce on the kernel path).
-        block_size: maximum lockstep window length (default
-            :data:`DEFAULT_BLOCK_SIZE`).
+        capture_opt: also evaluate each trial's offline-optimum baseline.
     """
+
+    #: Cap on the committed interactions consumed per lockstep window.
+    #: Large enough to amortise the numpy slicing, small enough that an
+    #: early termination does not force drawing far beyond the duration;
+    #: 4096 was the fastest cap within noise at n = 120 and n = 480
+    #: (``docs/engines.md``).  Tests override it on a subclass or with
+    #: ``monkeypatch`` to force many window boundaries.
+    block_size = 4096
 
     def __init__(
         self,
@@ -252,8 +253,6 @@ class VectorizedExecutor:
         algorithm: DODAAlgorithm,
         aggregation: AggregationFunction = SUM,
         knowledge: Any = None,
-        enforce_oblivious: bool = False,
-        block_size: Optional[int] = None,
         capture_opt: bool = False,
     ) -> None:
         self.nodes = list(nodes)
@@ -261,14 +260,10 @@ class VectorizedExecutor:
         self.algorithm = algorithm
         self.aggregation = aggregation
         self.knowledge = knowledge
-        self.enforce_oblivious = enforce_oblivious
         # Offline-optimum capture (see Executor): after the lockstep, the
         # whole cell's baselines are evaluated in one batched kernel call
         # over the exact committed windows the rows consumed.
         self.capture_opt = capture_opt
-        if block_size is not None and block_size < 1:
-            raise ConfigurationError("block_size must be a positive integer")
-        self.block_size = int(block_size or DEFAULT_BLOCK_SIZE)
         validate_instance(self.nodes, sink)
         self.index_of = {node: position for position, node in enumerate(self.nodes)}
         self.sink_index = self.index_of[sink]
@@ -396,7 +391,6 @@ class VectorizedExecutor:
                 algorithm,
                 aggregation=self.aggregation,
                 knowledge=knowledge,
-                enforce_oblivious=self.enforce_oblivious,
                 capture_opt=self.capture_opt,
             ).run(
                 trial.source,
@@ -408,16 +402,6 @@ class VectorizedExecutor:
                 results[position] = result
         return results  # type: ignore[return-value]
 
-    @property
-    def last_fallback_count(self) -> int:
-        """How many trials of the last batch ran on the reference engine."""
-        return len(self.last_fallbacks)
-
-    @property
-    def last_fallback_reasons(self) -> Tuple[str, ...]:
-        """The per-trial fallback reasons of the last batch, in batch order."""
-        return tuple(record.reason for record in self.last_fallbacks)
-
     # ------------------------------------------------------------------ #
     def _prepare_trial(
         self,
@@ -427,11 +411,6 @@ class VectorizedExecutor:
         trial: BatchTrial,
     ) -> Union[_KernelTrial, str]:
         """Route one trial: a prepared kernel trial, or the fallback reason."""
-        if self.enforce_oblivious:
-            return (
-                "enforce_oblivious requires the fallback engine's "
-                "node-memory write check"
-            )
         if self._rank is None:
             return "node identifiers have no canonical total order"
         try:

@@ -8,7 +8,9 @@ per cell and its ``run_many`` executes every trial, sharing the dense
 node-index map, canonical-rank precomputation and the whole
 struct-of-arrays lockstep across trials.  With
 ``engine="reference"`` the cell runs one reference executor per trial
-instead, which makes it the oracle side of the differential tests.
+instead, which makes it the oracle side of the differential tests.  A
+cell takes no engine tuning options: the vectorized engine's committed
+window is fixed (the ``VectorizedExecutor.block_size`` class attribute).
 
 :func:`sweep_adversary_batched` is the only sweep function.  It turns
 ``ns × trials`` into cells and runs them in-process (``workers=1``) or over
@@ -70,7 +72,6 @@ def run_sweep_cell(
     engine: str = "vectorized",
     adversary: str = "uniform",
     adversary_params: Optional[Dict[str, Any]] = None,
-    block_size: Optional[int] = None,
     capture_opt: bool = False,
 ) -> List[TrialMetrics]:
     """Run the trials of one sweep cell in one engine invocation.
@@ -89,12 +90,11 @@ def run_sweep_cell(
     metrics with ``extra["engine_fallback"]`` (the reason string).
     ``engine="reference"`` runs one reference executor per trial (the
     semantics oracle for differential tests of this very function).
-    ``block_size`` tunes the vectorized engine's committed window (None
-    keeps its default).  ``capture_opt=True``
-    additionally evaluates the offline-optimum baseline per trial (the
-    vectorized engine does so for the whole cell in one batched kernel
-    call), filling the metrics' ``opt_cost``/``competitive_ratio`` fields
-    identically to the per-trial path.
+    ``capture_opt=True`` additionally evaluates the offline-optimum
+    baseline per trial (the vectorized engine does so for the whole cell
+    in one batched kernel call), filling the metrics'
+    ``opt_cost``/``competitive_ratio`` fields identically to the per-trial
+    path.
 
     Raises:
         ValueError: if ``n``/``trials`` are invalid or ``engine`` /
@@ -118,7 +118,7 @@ def run_sweep_cell(
         metrics = _run_cell(
             algorithm_factory, n, trials, master_seed, experiment,
             horizon_fn, sink, engine, adversary, adversary_params,
-            block_size, capture_opt, executor_cls,
+            capture_opt, executor_cls,
         )
         if collector.enabled:
             cell_span.set(
@@ -141,7 +141,6 @@ def _run_cell(
     engine: str,
     adversary: str,
     adversary_params: Optional[Dict[str, Any]],
-    block_size: Optional[int],
     capture_opt: bool,
     executor_cls: Any,
 ) -> List[TrialMetrics]:
@@ -176,13 +175,9 @@ def _run_cell(
 
     if hasattr(executor_cls, "run_many"):
         first = prepare(trials[0])
-        executor_kwargs: Dict[str, Any] = {
-            "knowledge": first[1],
-            "capture_opt": capture_opt,
-        }
-        if block_size is not None:
-            executor_kwargs["block_size"] = block_size
-        cell_executor = executor_cls(nodes, sink, first[0], **executor_kwargs)
+        cell_executor = executor_cls(
+            nodes, sink, first[0], knowledge=first[1], capture_opt=capture_opt
+        )
 
         def batch_trials():
             for position, trial in enumerate(trials):
@@ -256,7 +251,6 @@ def sweep_adversary_batched(
     engine: str = "vectorized",
     adversary: str = "uniform",
     adversary_params: Optional[Dict[str, Any]] = None,
-    block_size: Optional[int] = None,
     capture_opt: bool = False,
     workers: int = 1,
 ) -> SweepResult:
@@ -297,7 +291,6 @@ def sweep_adversary_batched(
             engine=engine,
             adversary=adversary,
             adversary_params=adversary_params,
-            block_size=block_size,
             capture_opt=capture_opt,
         )
         for n in ns

@@ -2,22 +2,22 @@
 
 The vectorized engine consumes each trial's committed future in lockstep
 windows: the first is ``INITIAL_BLOCK`` (1024) interactions long, or
-``n * n`` below 32 nodes, and each next one doubles, up to the executor's
-``block_size``.  Many instances in the test suite terminate inside that
-first window, so the default configuration rarely carries a trial's
-ownership, pending candidates or knowledge state across a window
-boundary.  :data:`SMALL_BLOCK` caps the window far below that, so every
-trial crosses many boundaries — and must still reproduce the reference
-engine exactly.
+``n * n`` below 32 nodes, and each next one doubles, up to the class
+attribute ``VectorizedExecutor.block_size``.  Many instances in the test
+suite terminate inside that first window, so the default configuration
+rarely carries a trial's ownership, pending candidates or knowledge state
+across a window boundary.  :data:`SMALL_BLOCK` caps the window far below
+that, so every trial crosses many boundaries — and must still reproduce
+the reference engine exactly.
 
 Engine-parametrized tests run this configuration next to the default one:
 
 * :class:`SmallBlockVectorizedExecutor` is a drop-in executor class;
 * :func:`use_engine` registers it under :data:`SMALL_BLOCK_ENGINE` in
-  :data:`repro.sim.runner.ENGINES` for one test, so entry points that take
-  an engine *name* (``execute_random_trial``, ``run_random_trial``,
-  ``replay_instance``) run it too;
-* the sweep layer takes ``block_size`` directly.
+  :data:`repro.sim.runner.ENGINES` for one test, so every entry point that
+  takes an engine *name* (``execute_random_trial``, ``run_random_trial``,
+  ``replay_instance``, the sweep layer) runs it too — also in fork-pool
+  workers, which inherit the registration.
 
 Like ``strategies.py`` this module is a plain import, not a conftest.
 """
@@ -38,10 +38,9 @@ CANDIDATE_ENGINES = ("vectorized", SMALL_BLOCK_ENGINE)
 
 
 class SmallBlockVectorizedExecutor(VectorizedExecutor):
-    """:class:`VectorizedExecutor` whose ``block_size`` defaults to :data:`SMALL_BLOCK`."""
+    """:class:`VectorizedExecutor` whose window cap is :data:`SMALL_BLOCK`."""
 
-    def __init__(self, *args, block_size: int = SMALL_BLOCK, **kwargs) -> None:
-        super().__init__(*args, block_size=block_size, **kwargs)
+    block_size = SMALL_BLOCK
 
 
 def use_engine(engine: str, monkeypatch) -> str:

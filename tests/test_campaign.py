@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -53,8 +54,6 @@ class TestCampaignSpec:
             small_spec(trials=0)
         with pytest.raises(CampaignSpecError, match="at least one algorithm"):
             small_spec(algorithms=())
-        with pytest.raises(CampaignSpecError, match="block_size"):
-            small_spec(block_size=0)
         with pytest.raises(CampaignSpecError, match="unknown family"):
             small_spec(adversary_params={"rush_hour": {}})
 
@@ -73,11 +72,23 @@ class TestCampaignSpec:
             assert "\n" not in message
             assert "removed" in message and "vectorized" in message
 
+    @pytest.mark.parametrize("value", (4096, None))
+    def test_removed_block_size_key_is_one_named_error(self, value):
+        with pytest.raises(CampaignSpecError) as excinfo:
+            spec_from_dict(
+                {"name": "x", "algorithms": ["gathering"], "ns": [8],
+                 "block_size": value}
+            )
+        message = str(excinfo.value)
+        assert "\n" not in message
+        assert "'block_size' was removed in repro 1.7.0" in message
+        with pytest.raises(TypeError):
+            small_spec(block_size=4096)
+
     def test_hash_covers_result_fields_only(self):
         base = small_spec()
         assert base.spec_hash() == small_spec(engine="vectorized").spec_hash()
         assert base.spec_hash() == small_spec(description="notes").spec_hash()
-        assert base.spec_hash() == small_spec(block_size=64).spec_hash()
         assert base.spec_hash() != small_spec(ns=(8, 10)).spec_hash()
         assert base.spec_hash() != small_spec(trials=3).spec_hash()
         assert base.spec_hash() != small_spec(master_seed=1).spec_hash()
@@ -120,6 +131,19 @@ class TestCampaignSpec:
             spec_from_dict({**base, "trials": "many"})
         with pytest.raises(CampaignSpecError, match="must be an integer"):
             spec_from_dict({**base, "master_seed": [1]})
+        # Non-integral numbers are errors naming the key, not truncations.
+        with pytest.raises(CampaignSpecError, match="'ns' must be an integer"):
+            spec_from_dict({**base, "ns": [80.7]})
+        with pytest.raises(CampaignSpecError, match="'trials' must be an integer"):
+            spec_from_dict({**base, "trials": 2.5})
+        with pytest.raises(CampaignSpecError, match="'master_seed' must be an"):
+            spec_from_dict({**base, "master_seed": float("inf")})
+
+    def test_spec_from_dict_accepts_integral_floats(self):
+        base = {"name": "x", "algorithms": ["gathering"], "ns": [80], "trials": 2}
+        spec = spec_from_dict({**base, "ns": [80.0], "trials": 2.0})
+        assert spec.ns == (80,) and spec.trials == 2
+        assert spec.spec_hash() == spec_from_dict(base).spec_hash()
 
     def test_spec_from_dict_rejects_unknowns_and_missing(self):
         with pytest.raises(CampaignSpecError, match="unknown spec keys"):
@@ -162,6 +186,19 @@ class TestSpecLoading:
         weird.write_text("name: x")
         with pytest.raises(CampaignSpecError, match="unsupported spec format"):
             load_campaign_spec(weird)
+
+    def test_toml_without_tomllib_names_the_python_version(
+        self, tmp_path, monkeypatch
+    ):
+        # Python 3.10 has no tomllib; a None entry makes the import fail.
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        spec_path = tmp_path / "x.toml"
+        spec_path.write_text('name = "x"\nalgorithms = ["gathering"]\nns = [8]\n')
+        with pytest.raises(CampaignSpecError) as excinfo:
+            load_campaign_spec(spec_path)
+        message = str(excinfo.value)
+        assert "Python >= 3.11" in message and ".json" in message
+        assert "No module named" not in message
 
     def test_shipped_example_specs_load(self):
         from pathlib import Path
@@ -268,6 +305,34 @@ class TestReport:
         assert main(["campaign", "report", str(store_dir)]) == 0
         assert "interactions to termination" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", (4096, None))
+    def test_store_echoing_removed_block_size_still_reads_and_resumes(
+        self, tmp_path, capsys, value
+    ):
+        # Stores written before 1.7.0 echo a block_size entry in their
+        # manifest.  It was never part of the spec hash, so status, report
+        # and resume still work on them.
+        spec = small_spec(ns=(8, 10))
+        store_dir = tmp_path / "store"
+        fresh_dir = tmp_path / "fresh"
+        run_campaign(spec, fresh_dir)
+        run_campaign(spec, store_dir, max_cells=1)
+        manifest_path = CampaignStore(store_dir).manifest_path
+        manifest = json.loads(manifest_path.read_text())
+        manifest["spec"]["block_size"] = value
+        manifest_path.write_text(json.dumps(manifest))
+        assert "complete=1 pending=1 corrupt=0" in campaign_status(store_dir)
+        assert main(["campaign", "status", str(store_dir)]) == 0
+        assert "complete=1" in capsys.readouterr().out
+        summary = run_campaign(spec, store_dir)
+        assert (summary.skipped, summary.executed) == (1, 1)
+        assert (
+            build_campaign_report(store_dir).to_markdown()
+            == build_campaign_report(fresh_dir).to_markdown()
+        )
+        assert main(["campaign", "report", str(store_dir)]) == 0
+        assert "cells aggregated: 2/2" in capsys.readouterr().out
+
     def test_figures_gracefully_skip_without_matplotlib(self, tmp_path):
         store_dir = tmp_path / "store"
         run_campaign(small_spec(), store_dir)
@@ -334,6 +399,22 @@ class TestCampaignCLI:
         assert len(err.strip().splitlines()) == 1
         assert "removed" in err and "vectorized" in err
         assert "Traceback" not in err
+
+    def test_spec_naming_removed_block_size_is_one_clear_error(
+        self, tmp_path, capsys
+    ):
+        spec_path = tmp_path / "c.toml"
+        spec_path.write_text(
+            'name = "cli"\nalgorithms = ["gathering"]\nns = [8]\n'
+            'block_size = 4096\n'
+        )
+        store = tmp_path / "store"
+        assert main(["campaign", "run", str(spec_path), "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "'block_size' was removed in repro 1.7.0" in err
+        assert "Traceback" not in err
+        assert not store.exists()
 
     def test_clear_cli_errors(self, tmp_path, capsys):
         # Campaign CLI failures exit 2 with one clear stderr line — no

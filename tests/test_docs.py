@@ -3,12 +3,15 @@
 Keeps the ``docs/`` tree honest from inside the tier-1 suite (the same
 checks run standalone via ``tools/check_docs.py`` in the CI docs job):
 broken intra-repo links and unparseable example code fail tests, every
-public module states its role in a module docstring, and the CLI help
-mentions the knob-composition rules the docs promise it does.
+public module states its role in a module docstring, every ``repro``
+command line the docs show still parses, and the CLI help mentions the
+knob-composition rules the docs promise it does.
 """
 
 import ast
 import importlib.util
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -27,6 +30,43 @@ def _load_check_docs():
 
 
 check_docs = _load_check_docs()
+
+#: A leading ``VAR=value`` environment assignment of a shell command.
+_ASSIGNMENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*=.*")
+
+
+def doc_command_lines():
+    """``(file name, argv)`` of every ``repro`` command in the docs' bash blocks.
+
+    Covers ``python -m repro …`` and ``repro …`` lines: ``\\``
+    continuations are joined, comments and leading ``VAR=`` assignments
+    dropped, and the argv ends at the first shell operator.
+    """
+    commands = []
+    for path in check_docs.doc_files():
+        text = path.read_text(encoding="utf-8")
+        for language, code, _ in check_docs.iter_code_blocks(text):
+            if language not in ("bash", "sh", "shell"):
+                continue
+            for line in re.sub(r"\\\n", " ", code).splitlines():
+                words = shlex.split(line, comments=True)
+                while words and _ASSIGNMENT.fullmatch(words[0]):
+                    words.pop(0)
+                if words[:3] == ["python", "-m", "repro"]:
+                    argv = words[3:]
+                elif words[:1] == ["repro"]:
+                    argv = words[1:]
+                else:
+                    continue
+                for position, word in enumerate(argv):
+                    if word[:1] in ("|", ";", "&", "<", ">"):
+                        argv = argv[:position]
+                        break
+                commands.append((path.name, argv))
+    return commands
+
+
+DOC_COMMANDS = doc_command_lines()
 
 
 class TestDocsTree:
@@ -69,6 +109,35 @@ class TestDocsTree:
             bad_in_repo.unlink()
         assert len(links) == 1 and "broken link" in links[0]
         assert len(blocks) == 2
+
+
+class TestDocCommandLines:
+    """Every documented command line parses, so a removed flag fails here."""
+
+    def test_docs_show_command_lines(self):
+        files = {name for name, _ in DOC_COMMANDS}
+        assert {"README.md", "engines.md", "campaigns.md"} <= files
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        DOC_COMMANDS,
+        ids=[f"{name}-{k}" for k, (name, _) in enumerate(DOC_COMMANDS)],
+    )
+    def test_command_line_parses(self, name, argv, capsys):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+            if args.command == "trace":
+                # ``trace`` keeps the wrapped command unparsed; parse it too.
+                wrapped = [word for word in args.wrapped if word != "--"]
+                parser.parse_args(wrapped)
+        except SystemExit:
+            pytest.fail(
+                f"{name}: `repro {' '.join(argv)}` does not parse: "
+                f"{capsys.readouterr().err.strip()}"
+            )
 
 
 class TestModuleDocstrings:
@@ -122,7 +191,7 @@ class TestCLIHelp:
         with pytest.raises(SystemExit):
             main(["sweep", "--help"])
         help_text = capsys.readouterr().out
-        assert "--block-size" in help_text
+        assert "--block-size" not in help_text
         assert "--workers" in help_text
         # composition rule wording: workers distribute cells and split
         # each n's trials into one range per worker

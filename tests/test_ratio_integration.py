@@ -79,7 +79,7 @@ class TestEngineAndPathIdentity:
                     RandomizedAdversary(nodes, seed=2), max_interactions=4000
                 )
             )
-        assert executor.last_fallback_count == 1
+        assert len(executor.last_fallbacks) == 1
         assert per_engine[0].opt_cost is not None
         assert per_engine[1] == per_engine[0]
 

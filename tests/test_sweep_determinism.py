@@ -4,15 +4,15 @@ Every sweep is a list of :func:`~repro.sim.batch.run_sweep_cell` cells,
 run in-process (``workers=1``) or over the one process pool of
 :func:`~repro.sim.parallel.run_sweep_cells`, with each ``n``'s trials
 split into one contiguous range per worker.  The contract pinned here:
-for every engine (the vectorized one at its default and at a small
-``block_size``) and every ``workers`` value, a sweep reproduces a plain
-:func:`~repro.sim.runner.run_sweep_trial` loop on the reference engine
-trial for trial — metrics, seeds, horizons and (with ``capture_opt``) the
+for every engine (the vectorized one at its default window and, as the
+test-only ``vectorized-small-blocks`` engine, at a small one) and every
+``workers`` value, a sweep reproduces a plain :func:`~repro.sim.runner.
+run_sweep_trial` loop on the reference engine trial for trial — metrics, seeds, horizons and (with ``capture_opt``) the
 offline-optimum baseline included.
 """
 
 import pytest
-from engine_variants import SMALL_BLOCK, SMALL_BLOCK_ENGINE
+from engine_variants import CANDIDATE_ENGINES, use_engine
 
 from repro.algorithms.gathering import Gathering
 from repro.algorithms.waiting import Waiting
@@ -21,29 +21,16 @@ from repro.sim import batch
 from repro.sim.batch import run_sweep_cell, sweep_adversary_batched
 from repro.sim.runner import run_sweep_trial
 
-#: ``(engine, block_size)`` configurations: the vectorized engine runs at
-#: its default window and at the small window that makes every trial cross
-#: lockstep block boundaries.
-ENGINES = (
-    ("reference", None),
-    ("vectorized", None),
-    ("vectorized", SMALL_BLOCK),
-)
+#: The reference engine, the vectorized one at its default window, and the
+#: small-window configuration that makes every trial cross lockstep block
+#: boundaries.
+ENGINES = ("reference", *CANDIDATE_ENGINES)
 WORKERS = (1, 2, 3)
 FAMILIES = ("zipf", "hub", "waypoint", "community")
 
-
-def engine_id(engine, block_size):
-    return engine if block_size is None else SMALL_BLOCK_ENGINE
-
-
 every_engine_and_worker_count = pytest.mark.parametrize(
-    "engine,block_size,workers",
-    [
-        pytest.param(e, b, w, id=f"{engine_id(e, b)}-{w}")
-        for e, b in ENGINES
-        for w in WORKERS
-    ],
+    "engine,workers",
+    [pytest.param(e, w, id=f"{e}-{w}") for e in ENGINES for w in WORKERS],
 )
 
 
@@ -67,12 +54,9 @@ def reference_trials(factory, n, trials, **kwargs):
     ]
 
 
-def assert_matches_reference(
-    factory, ns, trials, engine, block_size, workers, **kwargs
-):
+def assert_matches_reference(factory, ns, trials, engine, workers, **kwargs):
     sweep = sweep_adversary_batched(
-        factory, ns, trials, engine=engine, workers=workers,
-        block_size=block_size, **kwargs
+        factory, ns, trials, engine=engine, workers=workers, **kwargs
     )
     assert sweep.algorithm == factory(ns[0]).name
     assert sweep.ns == list(ns)
@@ -83,44 +67,48 @@ def assert_matches_reference(
 
 
 class TestSweepMatchesReferenceLoop:
+    @pytest.fixture(autouse=True)
+    def _register_engine(self, request, monkeypatch):
+        use_engine(request.getfixturevalue("engine"), monkeypatch)
+
     @every_engine_and_worker_count
-    def test_two_n_grid(self, engine, block_size, workers):
+    def test_two_n_grid(self, engine, workers):
         assert_matches_reference(
-            gathering, [8, 12], 4, engine, block_size, workers, master_seed=11
+            gathering, [8, 12], 4, engine, workers, master_seed=11
         )
 
     @every_engine_and_worker_count
     @pytest.mark.parametrize("trials", (1, 5))
     def test_one_n_knowledge_algorithm_with_opt(
-        self, engine, block_size, workers, trials
+        self, engine, workers, trials
     ):
         # One n and several workers: the trials are split into ranges.
         assert_matches_reference(
-            waiting_greedy, [10], trials, engine, block_size, workers,
+            waiting_greedy, [10], trials, engine, workers,
             master_seed=2,
             capture_opt=True,
         )
 
     @every_engine_and_worker_count
-    def test_ratio_capture(self, engine, block_size, workers):
+    def test_ratio_capture(self, engine, workers):
         assert_matches_reference(
-            gathering, [8, 12], 4, engine, block_size, workers, master_seed=11,
+            gathering, [8, 12], 4, engine, workers, master_seed=11,
             experiment="ratio-paths", capture_opt=True,
         )
 
     @every_engine_and_worker_count
-    def test_mobility_adversary(self, engine, block_size, workers):
+    def test_mobility_adversary(self, engine, workers):
         assert_matches_reference(
-            waiting, [10], 4, engine, block_size, workers, master_seed=3,
+            waiting, [10], 4, engine, workers, master_seed=3,
             adversary="community",
         )
 
     @pytest.mark.slow
     @every_engine_and_worker_count
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_every_family(self, family, engine, block_size, workers):
+    def test_every_family(self, family, engine, workers):
         assert_matches_reference(
-            gathering, [8, 12], 4, engine, block_size, workers, master_seed=9,
+            gathering, [8, 12], 4, engine, workers, master_seed=9,
             adversary=family,
         )
 

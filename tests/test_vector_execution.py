@@ -7,10 +7,9 @@ the transmission log, seed for seed — for **every registered algorithm**
 (all of which now carry decision kernels) under every committed adversary
 family (uniform / zipf / hub / waypoint / community / trace replay).  The
 few shapes no kernel can mirror (adaptive providers, mis-shaped oracles,
-``enforce_oblivious`` runs, shared RNG instances) fall back to the
-reference engine — exactly, and *observably*: every fallback carries a
-reason in ``VectorizedExecutor.last_fallbacks`` and batched sweep cells
-warn.
+shared RNG instances) fall back to the reference engine — exactly, and
+*observably*: every fallback carries a reason in
+``VectorizedExecutor.last_fallbacks`` and batched sweep cells warn.
 """
 
 import warnings
@@ -68,8 +67,7 @@ def make_algorithm(name: str, n: int):
     return registry.create(name, **kwargs)
 
 
-def run_engine(engine_cls, name, n, seed, sink=0, family="uniform",
-               block_size=None):
+def run_engine(engine_cls, name, n, seed, sink=0, family="uniform"):
     """One committed-adversary trial through an explicit engine class."""
     algorithm = make_algorithm(name, n)
     nodes = list(range(n))
@@ -79,9 +77,13 @@ def run_engine(engine_cls, name, n, seed, sink=0, family="uniform",
         algorithm, adversary, nodes, sink, horizon
     )
     source = committed if committed is not None else adversary
-    kwargs = {} if block_size is None else {"block_size": block_size}
-    executor = engine_cls(nodes, sink, algorithm, knowledge=knowledge, **kwargs)
+    executor = engine_cls(nodes, sink, algorithm, knowledge=knowledge)
     return executor.run(source, max_interactions=horizon)
+
+
+def fallback_reasons(executor):
+    """The per-trial fallback reasons of the executor's last batch."""
+    return tuple(record.reason for record in executor.last_fallbacks)
 
 
 class TestEngineResolution:
@@ -167,7 +169,7 @@ class TestDifferentialSources:
             reference = Executor(executor_nodes, 0, Gathering()).run(sequence)
             executor = VectorizedExecutor(executor_nodes, 0, Gathering())
             assert executor.run(sequence) == reference
-            assert executor.last_fallback_reasons == ()
+            assert fallback_reasons(executor) == ()
 
     def test_committed_prefix_with_foreign_node_falls_back(self):
         sequence = RandomizedAdversary(list(range(6)), seed=0).committed_prefix(
@@ -184,7 +186,7 @@ class TestDifferentialSources:
 
         vec_executor, vectorized = run(VectorizedExecutor)
         assert vectorized == run(Executor)[1]
-        assert vec_executor.last_fallback_reasons == (
+        assert fallback_reasons(vec_executor) == (
             "interaction sequence mentions nodes outside the executor's "
             "node set",
         )
@@ -211,7 +213,7 @@ class TestDifferentialSources:
         executor = VectorizedExecutor(nodes, 0, Gathering())
         vectorized = executor.run(adversary(), max_interactions=50)
         assert vectorized == reference
-        (reason,) = executor.last_fallback_reasons
+        (reason,) = fallback_reasons(executor)
         assert "adaptive / non-committed" in reason
 
     def test_exhausted_finite_provider(self):
@@ -364,18 +366,19 @@ class TestKernelVsObjectDifferential:
         assert vectorized.sink_payload == max(payloads.values())
 
     @pytest.mark.parametrize("block_size", (64, 1000, 4096, 1 << 17))
-    def test_block_size_independence(self, block_size):
+    def test_block_size_independence(self, block_size, monkeypatch):
         """Block boundaries are consumption windows, never semantics."""
+        monkeypatch.setattr(VectorizedExecutor, "block_size", block_size)
         for name in ("gathering", "waiting", "waiting_greedy"):
             reference = run_engine(Executor, name, 14, seed=3)
-            vectorized = run_engine(
-                VectorizedExecutor, name, 14, seed=3, block_size=block_size
-            )
+            vectorized = run_engine(VectorizedExecutor, name, 14, seed=3)
             assert vectorized == reference, (name, block_size)
 
-    def test_invalid_block_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            VectorizedExecutor(list(range(4)), 0, Gathering(), block_size=0)
+    @pytest.mark.parametrize("option", ("block_size", "enforce_oblivious"))
+    def test_removed_constructor_options_rejected(self, option):
+        """The window is a class attribute; oblivious checks live on Executor."""
+        with pytest.raises(TypeError, match=option):
+            VectorizedExecutor(list(range(4)), 0, Gathering(), **{option: 1})
 
     def test_unbounded_provider_requires_horizon(self):
         adversary = make_adversary("uniform", list(range(6)), seed=0, sink=0)
@@ -407,8 +410,8 @@ class TestFallback:
         executor, vectorized = run(VectorizedExecutor)
         _, reference = run(Executor)
         assert vectorized == reference
-        assert executor.last_fallback_count == 1
-        (reason,) = executor.last_fallback_reasons
+        assert len(executor.last_fallbacks) == 1
+        (reason,) = fallback_reasons(executor)
         assert "unregistered_probe" in reason
         assert "registered kernels" in reason
         # The catalog in the reason names every actual kernel.
@@ -435,7 +438,7 @@ class TestFallback:
             _, reference = run(Executor)
             assert vectorized == reference, seed
             # The kernel's rejection message survives into the report.
-            (reason,) = vec_executor.last_fallback_reasons
+            (reason,) = fallback_reasons(vec_executor)
             assert reason.startswith("kernel precondition failed:"), reason
             assert "different sink" in reason
 
@@ -460,7 +463,7 @@ class TestFallback:
         vec_executor, vectorized = run(VectorizedExecutor)
         _, reference = run(Executor)
         assert vectorized == reference
-        assert vec_executor.last_fallback_reasons == (
+        assert fallback_reasons(vec_executor) == (
             "adversary node set is not a subset of the executor's node set",
         )
 
@@ -474,7 +477,7 @@ class TestFallback:
         vectorized = executor.run(sequence)
         assert vectorized == reference
         assert vectorized.terminated
-        assert executor.last_fallback_reasons == (
+        assert fallback_reasons(executor) == (
             "interaction sequence mentions nodes outside the executor's "
             "node set",
         )
@@ -489,7 +492,7 @@ class TestFallback:
         executor = VectorizedExecutor(nodes, "s", Gathering())
         vectorized = executor.run(Theorem1Adversary(), max_interactions=500)
         assert vectorized == reference
-        (reason,) = executor.last_fallback_reasons
+        (reason,) = fallback_reasons(executor)
         assert "adaptive" in reason
 
     def test_unorderable_identifiers_fall_back(self):
@@ -504,25 +507,9 @@ class TestFallback:
         vectorized = executor.run(sequence)
         assert vectorized == reference
         assert vectorized.transmission_count >= 3
-        assert executor.last_fallback_reasons == (
+        assert fallback_reasons(executor) == (
             "node identifiers have no canonical total order",
         )
-
-    def test_enforce_oblivious_falls_back(self):
-        result = run_engine(Executor, "gathering", 10, seed=2)
-        nodes = list(range(10))
-        adversary = build_trial_adversary(
-            "uniform", nodes, 2, default_horizon(Gathering(), 10), 0, None
-        )
-        executor = VectorizedExecutor(
-            nodes, 0, Gathering(), enforce_oblivious=True
-        )
-        vectorized = executor.run(
-            adversary, max_interactions=default_horizon(Gathering(), 10)
-        )
-        assert vectorized == result
-        (reason,) = executor.last_fallback_reasons
-        assert "enforce_oblivious" in reason
 
     def test_shared_rng_algorithm_instance_falls_back(self):
         """One RNG-bearing instance shared by several trials must not enter
@@ -557,8 +544,8 @@ class TestFallback:
         executor = VectorizedExecutor(nodes, sink, shared_vec)
         actual = executor.run_many(batch(shared_vec))
         assert actual == expected
-        assert executor.last_fallback_count == 3
-        for reason in executor.last_fallback_reasons:
+        assert len(executor.last_fallbacks) == 3
+        for reason in fallback_reasons(executor):
             assert "shared across 3 trials" in reason
         # Distinct per-trial instances do take the kernel path and agree too.
         per_trial_reference = [
@@ -628,7 +615,7 @@ class TestFallback:
             )
         executor = VectorizedExecutor(nodes, sink, make_algorithm("gathering", n))
         assert executor.run_many(trials) == expected
-        assert executor.last_fallback_count == 0
+        assert len(executor.last_fallbacks) == 0
 
 
 class TestFallbackReporting:
@@ -687,8 +674,8 @@ class TestFallbackReporting:
         source = committed if committed is not None else adversary
         executor = VectorizedExecutor(nodes, 0, algorithm, knowledge=knowledge)
         executor.run(source, max_interactions=horizon)
-        assert executor.last_fallback_count == 0
-        assert executor.last_fallback_reasons == ()
+        assert len(executor.last_fallbacks) == 0
+        assert fallback_reasons(executor) == ()
 
     def test_reference_engine_cells_report_nothing(self):
         """Fallback telemetry is a vectorized-engine concept; reference
@@ -764,12 +751,13 @@ class TestSweepPaths:
             for trial in range(4)
         ]
 
-    def test_block_size_threads_through_cell(self):
+    def test_small_window_cell_matches_default(self, monkeypatch):
         factory = lambda n: Gathering()
         default = run_sweep_cell(
             factory, 10, 3, master_seed=1, engine="vectorized"
         )
-        tuned = run_sweep_cell(
-            factory, 10, 3, master_seed=1, engine="vectorized", block_size=128
+        monkeypatch.setattr(VectorizedExecutor, "block_size", 128)
+        small = run_sweep_cell(
+            factory, 10, 3, master_seed=1, engine="vectorized"
         )
-        assert tuned == default
+        assert small == default
