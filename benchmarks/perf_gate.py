@@ -2,7 +2,9 @@
 
 Compares the **latest** vectorized-vs-reference record of the
 ``BENCH_engine.json`` trajectory — in CI that is the record the preceding
-``pytest benchmarks`` step appended moments earlier, on the same machine —
+``pytest benchmarks`` step (run with ``REPRO_BENCH_RECORD=1``; without it
+the benchmark tests record nothing) appended moments earlier, on the same
+machine —
 against the best *prior* records, and fails (exit code 1) on a regression.
 Reading the fresh record instead of re-measuring keeps the gate free and
 avoids double-running the most expensive benchmark of the job.
@@ -219,7 +221,7 @@ def check_floor(
 
 def measure_and_record() -> dict:
     """Measure once, append the record to the trajectory, return it."""
-    from bench_utils import record_bench_trajectory
+    from bench_utils import append_bench_trajectory
     from test_bench_engine import (
         BENCH_N,
         BENCH_TRIALS,
@@ -240,7 +242,7 @@ def measure_and_record() -> dict:
         "baseline_seconds": round(reference_seconds, 6),
         "speedup": round(speedup, 3),
     }
-    record_bench_trajectory("engine", record)
+    append_bench_trajectory("engine", record)
     print(
         f"measured (n={BENCH_N}, trials={BENCH_TRIALS}): reference "
         f"{reference_seconds:.3f}s, vectorized {vectorized_seconds:.3f}s "

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from bench_utils import ENGINE_SCHEMA_KEYS, normalize_engine_record
+import bench_utils
+from bench_utils import (
+    ENGINE_SCHEMA_KEYS,
+    RECORD_ENV,
+    normalize_engine_record,
+    record_bench_trajectory,
+)
 
 
 RECORD = {
@@ -56,3 +62,20 @@ class TestCommittedTrajectory:
         )
         for record in trajectory:
             assert set(ENGINE_SCHEMA_KEYS) <= set(record), record
+
+
+class TestRecordingIsOptIn:
+    def test_run_without_the_variable_writes_no_trajectory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench_utils, "BENCH_DIR", tmp_path)
+        monkeypatch.delenv(RECORD_ENV, raising=False)
+        assert record_bench_trajectory("engine", dict(RECORD)) is None
+        monkeypatch.setenv(RECORD_ENV, "0")
+        assert record_bench_trajectory("engine", dict(RECORD)) is None
+        assert not list(tmp_path.glob("BENCH_*.json"))
+
+    def test_opted_in_run_appends_one_record(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench_utils, "BENCH_DIR", tmp_path)
+        monkeypatch.setenv(RECORD_ENV, "1")
+        path = record_bench_trajectory("engine", dict(RECORD))
+        assert path == tmp_path / "BENCH_engine.json"
+        assert len(json.loads(path.read_text(encoding="utf-8"))) == 1

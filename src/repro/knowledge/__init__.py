@@ -12,7 +12,7 @@ from .base import KnowledgeBundle
 from .full import FullKnowledge
 from .future import FutureKnowledge
 from .meet_time import MeetTimeKnowledge
-from .underlying_graph import UnderlyingGraphKnowledge
+from .underlying_graph import UnderlyingGraphKnowledge, complete_footprint
 
 __all__ = [
     "FullKnowledge",
@@ -20,4 +20,5 @@ __all__ = [
     "KnowledgeBundle",
     "MeetTimeKnowledge",
     "UnderlyingGraphKnowledge",
+    "complete_footprint",
 ]

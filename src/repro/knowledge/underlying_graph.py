@@ -4,12 +4,16 @@ G-bar is the static graph whose edges are the pairs of nodes interacting at
 least once in the whole sequence.  The oracle can be built either from an
 explicit edge list (useful for adaptive adversaries that commit to a
 footprint without committing to the sequence) or from a committed finite
-sequence.
+sequence.  :func:`complete_footprint` hands out one shared, immutable
+oracle per node set for the complete footprint of the named randomized
+adversary families.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from functools import lru_cache
+from itertools import combinations
+from typing import Any, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -49,3 +53,29 @@ class UnderlyingGraphKnowledge:
     def edge_set(self) -> Set[FrozenSet[NodeId]]:
         """The edges of G-bar as a set of unordered pairs."""
         return {frozenset(edge) for edge in self._graph.edges()}
+
+
+def complete_footprint(nodes: Sequence[NodeId]) -> UnderlyingGraphKnowledge:
+    """The shared oracle whose G-bar is the complete graph on ``nodes``.
+
+    Built once per process per node tuple and reused by every trial (the
+    oracle never hands out its own graph, so sharing is safe).  The cache
+    key carries each node's type, so ``1``, ``1.0`` and ``True`` — equal as
+    dict keys but ordered differently by the ``repr``-sorted BFS tree —
+    never alias.
+    """
+    return _complete_footprint(tuple((type(node), node) for node in nodes))
+
+
+#: Node tuples whose complete-footprint oracle stays cached: each holds an
+#: ``n(n-1)/2``-edge networkx graph, and sweeps visit their sizes one after
+#: another, so two suffice.
+COMPLETE_FOOTPRINT_CACHE_SIZE = 2
+
+
+@lru_cache(maxsize=COMPLETE_FOOTPRINT_CACHE_SIZE)
+def _complete_footprint(
+    typed_nodes: Tuple[Tuple[Any, NodeId], ...]
+) -> UnderlyingGraphKnowledge:
+    nodes = [node for _, node in typed_nodes]
+    return UnderlyingGraphKnowledge(nodes, edges=combinations(nodes, 2))

@@ -35,7 +35,7 @@ from ..knowledge import (
     FutureKnowledge,
     KnowledgeBundle,
     MeetTimeKnowledge,
-    UnderlyingGraphKnowledge,
+    complete_footprint,
 )
 from ..analysis.statistics import SampleSummary, summarize_sample
 from .metrics import TrialMetrics, mean_duration, termination_rate
@@ -133,12 +133,9 @@ def build_knowledge_for_random_run(
     if KNOWLEDGE_UNDERLYING_GRAPH in required:
         # Every named adversary family can eventually produce any pair
         # (uniform/non-uniform draws, waypoint proximity, community mixture),
-        # so the footprint is the complete graph.
-        from itertools import combinations
-
-        oracles.append(
-            UnderlyingGraphKnowledge(nodes, edges=list(combinations(nodes, 2)))
-        )
+        # so the footprint is the complete graph: one shared oracle per node
+        # set instead of an n(n-1)/2-edge graph per trial.
+        oracles.append(complete_footprint(nodes))
     return KnowledgeBundle(*oracles), committed
 
 
