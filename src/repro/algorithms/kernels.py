@@ -37,14 +37,12 @@ with the object form is enforced by the differential tests in
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_right
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.algorithm import DODAAlgorithm, KNOWLEDGE_MEET_TIME
-from ..knowledge.underlying_graph import UnderlyingGraphKnowledge
 
 __all__ = [
     "NO_TRANSMISSION",
@@ -741,27 +739,6 @@ class _TreeState:
         self.received = [0] * len(parent)
 
 
-#: Memoized ``dense_bfs_tree`` results per immutable underlying-graph
-#: oracle, keyed by the typed sink and dense node order.
-_TREES: "weakref.WeakKeyDictionary[Any, Dict[Any, Tuple[List[int], List[int]]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _dense_tree(
-    oracle: Any, sink_node: Any, index_of: Dict[Any, int]
-) -> Tuple[List[int], List[int]]:
-    """The oracle's BFS tree rooted at the sink, in dense-index form."""
-    from .spanning_tree import dense_bfs_tree
-
-    graph = oracle.underlying_graph()
-    if sink_node not in graph:
-        # The object form would crash computing the BFS tree; the fallback
-        # engine reproduces that behaviour faithfully.
-        raise KernelUnsupported("sink is not a node of the underlying graph")
-    return dense_bfs_tree(graph, sink_node, index_of)
-
-
 @register_kernel
 class SpanningTreeKernel(DecisionKernel):
     """Array form of :class:`~repro.algorithms.spanning_tree.SpanningTreeAggregation`.
@@ -783,22 +760,20 @@ class SpanningTreeKernel(DecisionKernel):
 
     def prepare(self, algorithm, source, knowledge, horizon, n, sink_index,
                 translate=None, sink_node=None, index_of=None):
+        from .spanning_tree import dense_bfs_tree
+
         oracle = _bundle_oracle(knowledge, "underlying_graph")
-        if oracle is None or not hasattr(oracle, "underlying_graph"):
+        if oracle is None or not hasattr(oracle, "bfs_tree"):
             raise KernelUnsupported("no underlying-graph oracle to mirror")
         if index_of is None:
             raise KernelUnsupported("engine did not supply the dense node order")
-        if not isinstance(oracle, UnderlyingGraphKnowledge):
-            return _TreeState(*_dense_tree(oracle, sink_node, index_of))
-        # The oracle is immutable, so its tree per (sink, node order) is
-        # computed once; the shared complete-footprint oracle makes that
-        # once per process instead of once per trial.
-        trees = _TREES.setdefault(oracle, {})
-        key = tuple((type(node), node) for node in (sink_node, *index_of))
-        tree = trees.get(key)
-        if tree is None:
-            tree = trees[key] = _dense_tree(oracle, sink_node, index_of)
-        return _TreeState(*tree)
+        if sink_node not in oracle.underlying_graph():
+            # The object form would crash computing the BFS tree; the fallback
+            # engine reproduces that behaviour faithfully.
+            raise KernelUnsupported("sink is not a node of the underlying graph")
+        # The oracle memoizes its tree per sink; the shared complete-footprint
+        # oracle makes that one BFS per process instead of one per trial.
+        return _TreeState(*dense_bfs_tree(oracle.bfs_tree(sink_node), index_of))
 
     def decide_block(self, state, iu, iv, t):
         parent = state.parent

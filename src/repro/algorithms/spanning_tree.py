@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..core.algorithm import (
     DODAAlgorithm,
     KNOWLEDGE_UNDERLYING_GRAPH,
@@ -27,6 +25,9 @@ from ..core.algorithm import (
 )
 from ..core.data import NodeId
 from ..core.node import NodeView
+from ..graph.adjacency import Tree, build_bfs_tree
+
+__all__ = ["SpanningTreeAggregation", "build_bfs_tree", "dense_bfs_tree"]
 
 _RECEIVED_KEY = "spanning_tree/received_from"
 
@@ -52,18 +53,15 @@ class SpanningTreeAggregation(DODAAlgorithm):
 
     # ------------------------------------------------------------------ #
     def _ensure_tree(self, view: NodeView) -> None:
-        """Compute the deterministic BFS spanning tree once per run."""
+        """Fetch the oracle's deterministic BFS spanning tree once per run."""
         if self._parent is not None:
             return
-        graph: nx.Graph = view.knowledge.underlying_graph()
         sink = self._sink
         if sink is None:
             # Fallback: the sink is identifiable from the views at decide time;
             # on_run_start normally sets it.
             raise RuntimeError("on_run_start was not called before decide")
-        parent, children = build_bfs_tree(graph, sink)
-        self._parent = parent
-        self._children = children
+        self._parent, self._children = view.knowledge.bfs_tree(sink)
 
     def decide(
         self, first: NodeView, second: NodeView, time: int
@@ -87,9 +85,9 @@ class SpanningTreeAggregation(DODAAlgorithm):
 
 
 def dense_bfs_tree(
-    graph: nx.Graph, root: NodeId, index_of: Dict[NodeId, int]
+    tree: Tree, index_of: Dict[NodeId, int]
 ) -> Tuple[List[int], List[int]]:
-    """The deterministic BFS tree in dense-index form for the array engine.
+    """A :func:`build_bfs_tree` tree in dense-index form for the array engine.
 
     Returns ``(parent, needed)`` lists indexed by ``index_of`` position:
     ``parent[i]`` is the dense index of node ``i``'s tree parent (``-1`` for
@@ -99,7 +97,7 @@ def dense_bfs_tree(
     keep the node waiting forever, exactly like the object algorithm's
     never-satisfiable ``expected`` set.
     """
-    parent_map, children_map = build_bfs_tree(graph, root)
+    parent_map, children_map = tree
     size = len(index_of)
     parent = [-1] * size
     needed = [0] * size
@@ -109,34 +107,3 @@ def dense_bfs_tree(
             parent[position] = index_of.get(tree_parent, -1)
         needed[position] = len(children_map.get(node, ()))
     return parent, needed
-
-
-def build_bfs_tree(
-    graph: nx.Graph, root: NodeId
-) -> Tuple[Dict[NodeId, Optional[NodeId]], Dict[NodeId, Set[NodeId]]]:
-    """Deterministic BFS tree of ``graph`` rooted at ``root``.
-
-    Neighbours are visited in ascending ``repr`` order of their identifier so
-    that every node computes the same tree, as the paper requires ("they
-    compute the same tree, using node identifiers").
-
-    Returns:
-        ``(parent, children)`` maps.  Nodes unreachable from the root are
-        absent from both maps (no aggregation can include them anyway).
-    """
-    parent: Dict[NodeId, Optional[NodeId]] = {root: None}
-    children: Dict[NodeId, Set[NodeId]] = {root: set()}
-    frontier: List[NodeId] = [root]
-    while frontier:
-        next_frontier: List[NodeId] = []
-        for node in frontier:
-            neighbours = sorted(graph.neighbors(node), key=repr)
-            for neighbour in neighbours:
-                if neighbour in parent:
-                    continue
-                parent[neighbour] = node
-                children.setdefault(neighbour, set())
-                children.setdefault(node, set()).add(neighbour)
-                next_frontier.append(neighbour)
-        frontier = next_frontier
-    return parent, children

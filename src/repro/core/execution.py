@@ -20,7 +20,7 @@ randomized adversaries).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Protocol, Tuple, Union
 
 from ..obs import current_collector
 from ..obs import now as _obs_now

@@ -262,7 +262,7 @@ def run_tree_order_ablation(
         }
         for order, sequence in orders.items():
             knowledge = KnowledgeBundle(
-                UnderlyingGraphKnowledge(nodes, edges=list(tree.edges()))
+                UnderlyingGraphKnowledge(nodes, edges=tree)
             )
             executor = Executor(
                 nodes, 0, SpanningTreeAggregation(), knowledge=knowledge

@@ -97,7 +97,7 @@ def run_theorem5(
             sequence = sequence_with_footprint(tree, rounds=rounds, rng=rng)
             nodes = list(range(n))
             knowledge = KnowledgeBundle(
-                UnderlyingGraphKnowledge(nodes, edges=list(tree.edges()))
+                UnderlyingGraphKnowledge(nodes, edges=tree)
             )
             algorithm = SpanningTreeAggregation()
             executor = Executor(nodes, sink, algorithm, knowledge=knowledge)

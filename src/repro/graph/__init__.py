@@ -1,12 +1,6 @@
 """Dynamic graph model, generators, journeys and contact-trace substrates."""
 
 from .dynamic_graph import DynamicGraph
-from .evolving_graph import (
-    aggregate_window,
-    from_evolving_graph,
-    snapshot_at,
-    to_evolving_graph,
-)
 from .generators import (
     all_pairs,
     default_nodes,
@@ -53,7 +47,6 @@ __all__ = [
     "RandomWaypointTrace",
     "SequenceStatistics",
     "VehicularGridTrace",
-    "aggregate_window",
     "aggregation_feasible",
     "all_pairs",
     "default_nodes",
@@ -62,7 +55,6 @@ __all__ = [
     "edge_markov_sequence",
     "footprint_is_tree",
     "foremost_journey",
-    "from_evolving_graph",
     "is_temporally_connected_to",
     "journey_exists",
     "line_sequence",
@@ -76,12 +68,10 @@ __all__ = [
     "sequence_from_contact_events",
     "sequence_with_footprint",
     "sink_contact_times",
-    "snapshot_at",
     "star_with_sink_sequence",
     "summarize",
     "temporal_eccentricity_to_sink",
     "temporal_reachability_matrix",
-    "to_evolving_graph",
     "tree_recurrent_sequence",
     "uniform_random_sequence",
 ]

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
-import networkx as nx
-
 from ..core.data import NodeId
 from ..core.exceptions import InvalidInteractionError
 from ..core.interaction import InteractionSequence
+from .adjacency import Adjacency, adjacency, is_connected
 
 
 @dataclass(frozen=True)
@@ -81,21 +80,15 @@ class DynamicGraph:
     # ------------------------------------------------------------------ #
     # Footprint / recurrence
     # ------------------------------------------------------------------ #
-    def underlying_graph(self) -> nx.Graph:
+    def underlying_graph(self) -> Adjacency:
         """The footprint G-bar: an edge per pair interacting at least once."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes)
-        for pair in self.sequence.footprint_edges():
-            u, v = tuple(pair)
-            graph.add_edge(u, v)
-        return graph
+        return adjacency(
+            self.nodes, (tuple(pair) for pair in self.sequence.footprint_edges())
+        )
 
     def is_footprint_connected(self) -> bool:
         """True if G-bar is connected (a necessary condition for aggregation)."""
-        graph = self.underlying_graph()
-        if graph.number_of_nodes() == 0:
-            return True
-        return nx.is_connected(graph)
+        return is_connected(self.underlying_graph())
 
     def interaction_counts(self) -> Dict[FrozenSet[NodeId], int]:
         """Number of occurrences of every interacting pair."""
@@ -125,7 +118,7 @@ class DynamicGraph:
 
     def degree_in_footprint(self, node: NodeId) -> int:
         """Degree of ``node`` in G-bar."""
-        return self.underlying_graph().degree(node)
+        return len(self.underlying_graph()[node])
 
     # ------------------------------------------------------------------ #
     # Transformations

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.data import NodeId
 from ..core.exceptions import ConfigurationError
 from ..core.interaction import InteractionSequence
+from .adjacency import adjacency, depths, is_tree
+
+Edge = Tuple[NodeId, NodeId]
 
 
 def default_nodes(n: int) -> List[int]:
@@ -114,10 +115,10 @@ def ring_sequence(nodes: Sequence[NodeId], rounds: int = 1) -> InteractionSequen
 
 
 def tree_recurrent_sequence(
-    tree: nx.Graph, rounds: int = 1, order: str = "bottom_up",
+    tree: Iterable[Edge], rounds: int = 1, order: str = "bottom_up",
     root: Optional[NodeId] = None,
 ) -> InteractionSequence:
-    """A recurrent sequence whose footprint is exactly ``tree``.
+    """A recurrent sequence whose footprint is exactly the edge list ``tree``.
 
     ``order`` controls the order of edges within a round:
 
@@ -126,13 +127,14 @@ def tree_recurrent_sequence(
       optimal convergecast towards the root;
     * ``"sorted"`` — canonical edge order (depth-agnostic).
     """
-    if not nx.is_tree(tree):
+    edges = list(tree)
+    graph = adjacency((), edges)
+    if not is_tree(graph):
         raise ConfigurationError("tree_recurrent_sequence requires a tree")
-    edges = list(tree.edges())
     if order == "bottom_up":
         if root is None:
             raise ConfigurationError("bottom_up order requires a root")
-        depth = nx.shortest_path_length(tree, source=root)
+        depth = depths(graph, root)
         edges.sort(key=lambda edge: -max(depth[edge[0]], depth[edge[1]]))
     elif order == "sorted":
         edges.sort(key=lambda edge: (repr(edge[0]), repr(edge[1])))
@@ -181,29 +183,52 @@ def edge_markov_sequence(
 
 def random_tree(
     n: int, rng: Optional[random.Random] = None, seed: Optional[int] = None
-) -> nx.Graph:
-    """A uniformly random labelled tree on nodes ``0..n-1`` (Prüfer decoding)."""
+) -> List[Edge]:
+    """The edges of a uniformly random labelled tree on nodes ``0..n-1``.
+
+    Decodes a uniform Prüfer code; each edge is listed once as
+    ``(low, high)``, sorted by its low end and then by the order the
+    decoding attached the high end.
+    """
     rng = _resolve_rng(rng, seed)
     if n < 2:
         raise ConfigurationError("a tree needs at least two nodes")
-    if n == 2:
-        tree = nx.Graph()
-        tree.add_edge(0, 1)
-        return tree
-    sequence = [rng.randrange(n) for _ in range(n - 2)]
-    return nx.from_prufer_sequence(sequence)
+    code = [rng.randrange(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for node in code:
+        degree[node] += 1
+    attached: List[List[int]] = [[] for _ in range(n)]
+
+    def attach(u: int, v: int) -> None:
+        attached[u].append(v)
+        attached[v].append(u)
+
+    # The smallest leaf joins the next code entry; when that entry becomes a
+    # leaf smaller than the scan position it is the next smallest leaf.
+    index = leaf = degree.index(1)
+    for node in code:
+        attach(leaf, node)
+        degree[leaf] = 0
+        degree[node] -= 1
+        if node < index and degree[node] == 1:
+            leaf = node
+        else:
+            index = leaf = degree.index(1, index + 1)
+    last = [node for node in range(n) if degree[node] == 1]
+    attach(*last)
+    return [(u, v) for u in range(n) for v in attached[u] if v > u]
 
 
 def sequence_with_footprint(
-    graph: nx.Graph,
+    graph: Iterable[Edge],
     rounds: int,
     rng: Optional[random.Random] = None,
     seed: Optional[int] = None,
     shuffle_each_round: bool = True,
 ) -> InteractionSequence:
-    """A recurrent sequence whose footprint equals the edges of ``graph``."""
+    """A recurrent sequence whose footprint is the edge list ``graph``."""
     rng = _resolve_rng(rng, seed)
-    edges = list(graph.edges())
+    edges = list(graph)
     if not edges:
         raise ConfigurationError("graph has no edges")
     pattern: List[Tuple[NodeId, NodeId]] = []

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import networkx as nx
-
 from ..core.data import NodeId
+from .adjacency import is_tree
 from .dynamic_graph import DynamicGraph
 from .journeys import is_temporally_connected_to
 
@@ -35,8 +34,7 @@ class SequenceStatistics:
 
 def footprint_is_tree(graph: DynamicGraph) -> bool:
     """True if the underlying graph G-bar is a tree (Theorem 5's hypothesis)."""
-    footprint = graph.underlying_graph()
-    return footprint.number_of_nodes() > 0 and nx.is_tree(footprint)
+    return is_tree(graph.underlying_graph())
 
 
 def aggregation_feasible(graph: DynamicGraph) -> bool:
@@ -68,14 +66,14 @@ def mean_intercontact_time(times: List[int]) -> Optional[float]:
 
 def summarize(graph: DynamicGraph, recurrence_threshold: int = 2) -> SequenceStatistics:
     """Compute the :class:`SequenceStatistics` of a dynamic graph."""
-    footprint = graph.underlying_graph()
     contacts = sink_contact_times(graph)
+    distinct_pairs = len(graph.sequence.footprint_edges())
     return SequenceStatistics(
         node_count=graph.size,
         interaction_count=graph.length,
-        distinct_pairs=len(graph.sequence.footprint_edges()),
-        footprint_edges=footprint.number_of_edges(),
-        footprint_is_tree=footprint.number_of_edges() > 0 and nx.is_tree(footprint),
+        distinct_pairs=distinct_pairs,
+        footprint_edges=distinct_pairs,
+        footprint_is_tree=footprint_is_tree(graph),
         footprint_is_connected=graph.is_footprint_connected(),
         recurrent=graph.is_recurrent(min_occurrences=recurrence_threshold),
         sink_contact_count=len(contacts),

@@ -16,7 +16,6 @@ that downstream users can replay their own traces through the executor:
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, TextIO, Tuple, Union
 

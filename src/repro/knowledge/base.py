@@ -70,8 +70,12 @@ class KnowledgeBundle:
         return self._get("future").future(node)
 
     def underlying_graph(self):
-        """The underlying graph G-bar as a :class:`networkx.Graph`."""
+        """The underlying graph G-bar as a read-only adjacency mapping."""
         return self._get("underlying_graph").underlying_graph()
+
+    def bfs_tree(self, root: NodeId):
+        """The memoized ``(parent, children)`` BFS spanning tree of G-bar."""
+        return self._get("underlying_graph").bfs_tree(root)
 
     def full_sequence(self):
         """The entire interaction sequence (full knowledge)."""

@@ -14,6 +14,7 @@ bit, and everything measured above this layer is reproducible from
 ``(master_seed, experiment)`` alone.
 """
 
+from ..adversaries.factory import resolve_adversary_family
 from .metrics import TrialMetrics, durations, mean_duration, termination_rate
 from .batch import run_sweep_cell, sweep_adversary_batched
 from .parallel import run_sweep_cells
@@ -27,7 +28,6 @@ from .runner import (
     default_horizon,
     derive_sweep_trial,
     execute_random_trial,
-    resolve_adversary_family,
     resolve_engine,
     run_random_trial,
     run_sweep_trial,

@@ -36,6 +36,7 @@ from __future__ import annotations
 import warnings
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..adversaries.factory import resolve_adversary_family
 from ..core.algorithm import DODAAlgorithm
 from ..core.data import NodeId
 from ..core.vector_execution import (
@@ -53,7 +54,6 @@ from .runner import (
     build_knowledge_for_random_run,
     build_trial_adversary,
     derive_sweep_trial,
-    resolve_adversary_family,
     resolve_engine,
     validate_sweep_parameters,
 )

@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..adversaries.committed import CommittedBlockAdversary
-from ..adversaries.factory import (
-    ADVERSARY_FAMILIES,
-    make_adversary,
-    resolve_adversary_family,
-)
+from ..adversaries.factory import make_adversary
 from ..core.algorithm import (
     DODAAlgorithm,
     KNOWLEDGE_FULL,

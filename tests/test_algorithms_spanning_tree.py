@@ -54,7 +54,7 @@ class TestBFSTree:
 class TestOnTreeFootprints:
     def test_terminates_and_is_optimal_on_path(self):
         tree = nx.path_graph(5)
-        sequence = tree_recurrent_sequence(tree, rounds=6, order="sorted")
+        sequence = tree_recurrent_sequence(tree.edges(), rounds=6, order="sorted")
         nodes, result = run_on_tree(tree, sequence)
         assert result.terminated
         breakdown = cost_of_result(result, sequence, nodes, 0)
@@ -62,8 +62,10 @@ class TestOnTreeFootprints:
 
     def test_terminates_and_is_optimal_on_random_trees(self):
         for seed in range(4):
-            tree = random_tree(9, seed=seed)
-            sequence = sequence_with_footprint(tree, rounds=10, seed=seed)
+            edges = random_tree(9, seed=seed)
+            sequence = sequence_with_footprint(edges, rounds=10, seed=seed)
+            tree = nx.empty_graph(9)
+            tree.add_edges_from(edges)
             nodes, result = run_on_tree(tree, sequence)
             assert result.terminated
             breakdown = cost_of_result(result, sequence, nodes, 0)
@@ -71,7 +73,9 @@ class TestOnTreeFootprints:
 
     def test_single_round_bottom_up_suffices(self):
         tree = nx.balanced_tree(2, 3)
-        sequence = tree_recurrent_sequence(tree, rounds=1, order="bottom_up", root=0)
+        sequence = tree_recurrent_sequence(
+            tree.edges(), rounds=1, order="bottom_up", root=0
+        )
         nodes, result = run_on_tree(tree, sequence)
         assert result.terminated
         assert result.duration == len(sequence)
@@ -92,7 +96,7 @@ class TestOnTreeFootprints:
 class TestOnNonTreeFootprints:
     def test_terminates_on_recurrent_cycle(self):
         cycle = nx.cycle_graph(6)
-        sequence = sequence_with_footprint(cycle, rounds=12, seed=0)
+        sequence = sequence_with_footprint(cycle.edges(), rounds=12, seed=0)
         nodes, result = run_on_tree(cycle, sequence)
         assert result.terminated
 
@@ -111,7 +115,7 @@ class TestOnNonTreeFootprints:
 
     def test_state_resets_between_runs(self):
         tree = nx.path_graph(4)
-        sequence = tree_recurrent_sequence(tree, rounds=5, order="sorted")
+        sequence = tree_recurrent_sequence(tree.edges(), rounds=5, order="sorted")
         algorithm = SpanningTreeAggregation()
         nodes = list(tree.nodes())
         knowledge = KnowledgeBundle(

@@ -1,6 +1,9 @@
 """Tests for the CLI and the public package surface."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,33 @@ class TestPackageSurface:
             adversary, max_interactions=20_000
         )
         assert result.terminated
+
+
+#: Imports the package and the CLI, runs a spanning_tree trial on each
+#: engine and draws a random tree, then reports whether networkx got loaded.
+_NO_NETWORKX_SCRIPT = """
+import sys
+import repro, repro.cli
+from repro.algorithms.spanning_tree import SpanningTreeAggregation
+from repro.graph.generators import random_tree
+from repro.sim.runner import run_random_trial
+for engine in ("reference", "vectorized"):
+    assert run_random_trial(SpanningTreeAggregation(), 12, 3, engine=engine).terminated
+assert len(random_tree(10, seed=1)) == 9
+print("networkx" in sys.modules)
+"""
+
+
+def test_package_runs_without_importing_networkx():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", _NO_NETWORKX_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
 
 
 class TestCLI:

@@ -1,6 +1,5 @@
 """Unit tests for repro.graph.dynamic_graph."""
 
-import networkx as nx
 import pytest
 
 from repro.core.exceptions import InvalidInteractionError
@@ -41,15 +40,13 @@ class TestConstruction:
 class TestFootprint:
     def test_underlying_graph_edges(self, triangle_graph):
         footprint = triangle_graph.underlying_graph()
-        assert set(map(frozenset, footprint.edges())) == {
-            frozenset({0, 1}),
-            frozenset({1, 2}),
-            frozenset({0, 2}),
-        }
+        assert footprint == {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
+        with pytest.raises(TypeError):
+            footprint[3] = frozenset()
 
     def test_footprint_includes_isolated_nodes(self):
         graph = DynamicGraph.create([0, 1, 2, 3], sink=0, interactions=[(0, 1)])
-        assert graph.underlying_graph().number_of_nodes() == 4
+        assert list(graph.underlying_graph()) == [0, 1, 2, 3]
         assert not graph.is_footprint_connected()
 
     def test_connected_footprint(self, triangle_graph):

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.core.exceptions import ConfigurationError
+from repro.graph.adjacency import adjacency, is_tree
 from repro.graph.generators import (
     all_pairs,
     default_nodes,
@@ -104,12 +105,13 @@ class TestDeterministicPatterns:
 class TestTreeGenerators:
     def test_random_tree_is_tree(self):
         tree = random_tree(12, seed=3)
-        assert nx.is_tree(tree)
-        assert tree.number_of_nodes() == 12
+        graph = adjacency((), tree)
+        assert is_tree(graph)
+        assert sorted(graph) == list(range(12))
 
     def test_random_tree_two_nodes(self):
         tree = random_tree(2, seed=0)
-        assert list(tree.edges()) == [(0, 1)]
+        assert tree == [(0, 1)]
 
     def test_random_tree_rejects_single_node(self):
         with pytest.raises(ConfigurationError):
@@ -117,7 +119,9 @@ class TestTreeGenerators:
 
     def test_tree_recurrent_sequence_bottom_up_single_round_convergecast(self):
         tree = nx.balanced_tree(2, 2)
-        sequence = tree_recurrent_sequence(tree, rounds=1, order="bottom_up", root=0)
+        sequence = tree_recurrent_sequence(
+            tree.edges(), rounds=1, order="bottom_up", root=0
+        )
         # Bottom-up order lets data flow to the root within a single round,
         # so the offline optimum is finite on just one round.
         from repro.offline.convergecast import opt
@@ -127,16 +131,20 @@ class TestTreeGenerators:
     def test_tree_recurrent_sequence_requires_tree(self):
         graph = nx.cycle_graph(4)
         with pytest.raises(ConfigurationError):
-            tree_recurrent_sequence(graph, rounds=1, order="sorted")
+            tree_recurrent_sequence(graph.edges(), rounds=1, order="sorted")
+        with pytest.raises(ConfigurationError):
+            tree_recurrent_sequence([(0, 1), (2, 3)], rounds=1, order="sorted")
+        with pytest.raises(ConfigurationError):
+            tree_recurrent_sequence([], rounds=1, order="sorted")
 
     def test_tree_recurrent_sequence_bottom_up_requires_root(self):
         tree = nx.path_graph(4)
         with pytest.raises(ConfigurationError):
-            tree_recurrent_sequence(tree, rounds=1, order="bottom_up")
+            tree_recurrent_sequence(tree.edges(), rounds=1, order="bottom_up")
 
     def test_sequence_with_footprint(self):
         graph = nx.cycle_graph(6)
-        sequence = sequence_with_footprint(graph, rounds=3, seed=0)
+        sequence = sequence_with_footprint(graph.edges(), rounds=3, seed=0)
         assert len(sequence) == 18
         assert sequence.footprint_edges() == {
             frozenset(edge) for edge in graph.edges()
@@ -144,7 +152,7 @@ class TestTreeGenerators:
 
     def test_sequence_with_footprint_requires_edges(self):
         with pytest.raises(ConfigurationError):
-            sequence_with_footprint(nx.empty_graph(4), rounds=1)
+            sequence_with_footprint(nx.empty_graph(4).edges(), rounds=1)
 
 
 class TestEdgeMarkov:

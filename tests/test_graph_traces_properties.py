@@ -83,6 +83,17 @@ class TestProperties:
         assert footprint_is_tree(line)
         assert not footprint_is_tree(triangle)
 
+    @pytest.mark.parametrize(
+        "nodes, expected",
+        [([0], True), ([0, 1], False)],
+        ids=["one-node", "two-nodes-no-edge"],
+    )
+    def test_edgeless_footprints_agree_across_entry_points(self, nodes, expected):
+        # A single node is a tree; two nodes without an edge are not.
+        graph = DynamicGraph.create(nodes, 0, [])
+        assert footprint_is_tree(graph) is expected
+        assert summarize(graph).footprint_is_tree is expected
+
     def test_sink_contact_times_and_intercontact(self):
         graph = DynamicGraph.create([0, 1, 2], 0, [(0, 1), (1, 2), (0, 2), (0, 1)])
         times = sink_contact_times(graph)
@@ -96,6 +107,7 @@ class TestProperties:
         assert stats.node_count == 3
         assert stats.interaction_count == 3
         assert stats.distinct_pairs == 2
+        assert stats.footprint_edges == 2
         assert stats.footprint_is_tree
         assert stats.footprint_is_connected
         assert not stats.recurrent

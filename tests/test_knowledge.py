@@ -5,6 +5,7 @@ import pytest
 from repro.adversaries.randomized import RandomizedAdversary
 from repro.core.exceptions import HorizonExhaustedError, KnowledgeError
 from repro.core.interaction import InteractionSequence
+from repro.graph.adjacency import edge_count
 from repro.knowledge import (
     FullKnowledge,
     FutureKnowledge,
@@ -76,7 +77,7 @@ class TestUnderlyingGraph:
     def test_from_sequence(self, committed_sequence):
         oracle = UnderlyingGraphKnowledge([0, 1, 2], sequence=committed_sequence)
         graph = oracle.underlying_graph()
-        assert graph.number_of_edges() == 3
+        assert edge_count(graph) == 3
 
     def test_from_edges(self):
         oracle = UnderlyingGraphKnowledge([0, 1, 2], edges=[(0, 1), (1, 2)])
@@ -88,11 +89,24 @@ class TestUnderlyingGraph:
         with pytest.raises(ValueError):
             UnderlyingGraphKnowledge([0, 1])
 
-    def test_returned_graph_is_a_copy(self):
+    def test_returned_graph_is_shared_and_read_only(self):
         oracle = UnderlyingGraphKnowledge([0, 1], edges=[(0, 1)])
         graph = oracle.underlying_graph()
-        graph.remove_edge(0, 1)
-        assert oracle.underlying_graph().number_of_edges() == 1
+        assert oracle.underlying_graph() is graph
+        assert graph == {0: {1}, 1: {0}}
+        with pytest.raises(TypeError):
+            graph[0] = frozenset()
+        with pytest.raises(TypeError):
+            del graph[1]
+        assert oracle.edge_set == {frozenset({0, 1})}
+
+    def test_bfs_tree_is_memoized_per_typed_root(self):
+        oracle = UnderlyingGraphKnowledge([1, 2, 3], edges=[(1, 2), (2, 3)])
+        tree = oracle.bfs_tree(1)
+        assert oracle.bfs_tree(1) is tree
+        assert tree == ({1: None, 2: 1, 3: 2}, {1: {2}, 2: {3}, 3: set()})
+        assert oracle.bfs_tree(True) is not tree
+        assert oracle.bfs_tree(3) == ({3: None, 2: 3, 1: 2}, {3: {2}, 2: {1}, 1: set()})
 
 
 class TestFullKnowledgeOracle:
@@ -118,7 +132,7 @@ class TestBundle:
         assert bundle.meet_time(1, 0) == 1
         assert bundle.future(2)
         assert bundle.full_sequence() == committed_sequence
-        assert bundle.underlying_graph().number_of_edges() == 3
+        assert edge_count(bundle.underlying_graph()) == 3
 
     def test_missing_oracle_raises(self, committed_sequence):
         bundle = KnowledgeBundle(FutureKnowledge(committed_sequence))

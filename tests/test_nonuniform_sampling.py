@@ -28,8 +28,10 @@ from repro.adversaries.nonuniform import (
 )
 from repro.algorithms.kernels import KernelUnsupported, SpanningTreeKernel
 from repro.algorithms.spanning_tree import SpanningTreeAggregation
+from repro.graph import adjacency as adjacency_module
 from repro.knowledge import KnowledgeBundle, UnderlyingGraphKnowledge, complete_footprint
-from repro.sim.runner import build_knowledge_for_random_run
+from repro.knowledge.underlying_graph import _complete_footprint
+from repro.sim.runner import build_knowledge_for_random_run, run_random_trial
 
 FAMILIES = [
     ("zipf", {"exponent": 1.0}),
@@ -250,6 +252,23 @@ class TestSpanningTreeMemo:
             # Each trial gets its own running counters.
             first.received[0] += 1
             assert again.received[0] == 0
+
+    def test_reference_trials_run_the_bfs_once(self, monkeypatch):
+        calls = []
+        real_bfs = adjacency_module.bfs
+
+        def counting_bfs(graph, root):
+            calls.append(root)
+            return real_bfs(graph, root)
+
+        monkeypatch.setattr(adjacency_module, "bfs", counting_bfs)
+        _complete_footprint.cache_clear()
+        for seed in (0, 1):
+            metrics = run_random_trial(
+                SpanningTreeAggregation(), 8, seed, engine="reference"
+            )
+            assert metrics.terminated
+        assert calls == [0]
 
     def test_sink_outside_the_graph_is_unsupported(self):
         oracle = complete_footprint([0, 1, 2])
